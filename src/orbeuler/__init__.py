@@ -41,7 +41,6 @@ from .local import (
     euler_ordinary,
     euler_ordinary3_cover_oracle,
     euler_star,
-    lc_status,
     singularity_from_dict,
     singularity_to_dict,
     star_invariants,

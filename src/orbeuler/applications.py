@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .local import StarArm, StarQuotient
-from .rationals import Chain, as_rational, format_rational, rat_ceil, rat_floor
+from .rationals import Chain, as_rational, format_rational, is_integer, rat_ceil, rat_floor
 
 __all__ = [
     "InvalidArrangementError",
@@ -61,7 +61,7 @@ class ArrangementData:
     t: tuple
 
     def __post_init__(self):
-        if isinstance(self.k, bool) or not isinstance(self.k, int) or self.k < 1:
+        if not is_integer(self.k) or self.k < 1:
             raise InvalidArrangementError(f"k must be a positive integer, got {self.k!r}")
         normalized = []
         seen = set()
@@ -72,9 +72,9 @@ class ArrangementData:
                 raise InvalidArrangementError(
                     f"t entry {entry!r} is not an (r, t_r) pair"
                 ) from None
-            if isinstance(r, bool) or not isinstance(r, int) or r < 2:
+            if not is_integer(r) or r < 2:
                 raise InvalidArrangementError(f"point order r must be an integer >= 2, got {r!r}")
-            if isinstance(count, bool) or not isinstance(count, int) or count < 0:
+            if not is_integer(count) or count < 0:
                 raise InvalidArrangementError(f"t_{r} must be a nonnegative integer, got {count!r}")
             if r in seen:
                 raise InvalidArrangementError(f"duplicate entry for r = {r}")
@@ -191,7 +191,7 @@ def cusp_count_bound(degree: int, alpha) -> int:
     ties included.  Requires 0 < alpha <= 5/6 (the cusp stays log canonical)
     and alpha * d >= 3 (pseudoeffectivity).
     """
-    if isinstance(degree, bool) or not isinstance(degree, int) or degree < 1:
+    if not is_integer(degree) or degree < 1:
         raise ValueError(f"degree must be a positive integer, got {degree!r}")
     alpha = as_rational(alpha)
     if not 0 < alpha <= Fraction(5, 6):
@@ -217,11 +217,7 @@ def cusp_ratio_optimize(grid_denominator: int) -> tuple[Fraction, Fraction]:
     grid only tightens the certified ratio.  Returns (alpha_star,
     ratio_star), the first grid point attaining the minimum.
     """
-    if (
-        isinstance(grid_denominator, bool)
-        or not isinstance(grid_denominator, int)
-        or grid_denominator < 48
-    ):
+    if not is_integer(grid_denominator) or grid_denominator < 48:
         raise ValueError(f"grid denominator must be an integer >= 48, got {grid_denominator!r}")
     best_alpha = None
     best_ratio = None
@@ -247,9 +243,9 @@ def canonical_degree_bound(c1_sq: int, c2: int, genus: int, ordinary: bool) -> F
     (3 c2 - c1^2 + max(0, 4g - 4)) c1^2 / (c1^2 - c2).
     """
     for name, value in (("c1_sq", c1_sq), ("c2", c2)):
-        if isinstance(value, bool) or not isinstance(value, int):
+        if not is_integer(value):
             raise ValueError(f"{name} must be an integer, got {value!r}")
-    if isinstance(genus, bool) or not isinstance(genus, int) or genus < 0:
+    if not is_integer(genus) or genus < 0:
         raise ValueError(f"genus must be a nonnegative integer, got {genus!r}")
     if ordinary:
         if c1_sq <= c2:
@@ -282,13 +278,13 @@ def check_singularity_budget(
     both sides and reports the comparison.
     """
     for name, value in (("c1_sq", c1_sq), ("c2", c2), ("k_dot_c", k_dot_c), ("c_sq", c_sq)):
-        if isinstance(value, bool) or not isinstance(value, int):
+        if not is_integer(value):
             raise ValueError(f"{name} must be an integer, got {value!r}")
     alpha = as_rational(alpha)
     lhs = Fraction(0)
     for entry in points:
         mu, local_value = entry
-        if isinstance(mu, bool) or not isinstance(mu, int) or mu < 1:
+        if not is_integer(mu) or mu < 1:
             raise ValueError(f"mu must be a positive integer, got {mu!r}")
         lhs += 3 * (alpha * (mu - 1) + 1 - as_rational(local_value))
     rhs = 3 * c2 - c1_sq + alpha * k_dot_c + (3 * alpha - alpha * alpha) * c_sq

@@ -28,15 +28,9 @@ from .applications import (
     cusp_count_bound,
     cusp_ratio_optimize,
 )
-from .germs import DEFAULT_CAP, CurveGerm, germ_from_dict, germ_invariants
+from .germs import DEFAULT_CAP, CurveGerm, germ_from_dict, germ_invariants, lct_obstruction
 from .local import euler_local, singularity_from_dict
-from .pairs import (
-    check_bmy,
-    check_bmy_multiplicities,
-    euler_orbifold_global,
-    pair_from_dict,
-    pair_kd_squared,
-)
+from .pairs import check_bmy, check_bmy_multiplicities, pair_from_dict
 from .rationals import as_rational, format_rational
 
 _EXIT_BY_VERDICT = {
@@ -155,9 +149,6 @@ def _cmd_local(args):
 
 def _cmd_germ(args):
     source = args.input.strip()
-    cap = args.cap
-    if cap is None:
-        cap = int(os.environ.get("OE_DEFAULT_CAP", DEFAULT_CAP))
     if source == "-" or source.startswith("{") or source.startswith("["):
         doc = _load_document(source)
     elif os.path.exists(source) and source.endswith(".json"):
@@ -165,41 +156,39 @@ def _cmd_germ(args):
     else:
         doc = source
     docs = doc if isinstance(doc, list) else [doc]
-    results = _parallel_map(_eval_germ_doc, [(entry, cap) for entry in docs], args.jobs)
+    results = _parallel_map(_eval_germ_doc, [(entry, args.cap) for entry in docs], args.jobs)
     items = []
     lines = []
-    worst = "no-obstruction"
     for invariants in results:
-        defect = invariants.mu - invariants.tau
-        verdict = "LCT-fails" if defect > 0 else "no-obstruction"
-        if verdict == "LCT-fails":
-            worst = "LCT-fails"
+        defect, lct = lct_obstruction([(invariants.mu, invariants.tau)])
         items.append(
             {
                 "mu": str(invariants.mu),
                 "tau": str(invariants.tau),
                 "e_orb": str(defect),
-                "lct": verdict,
+                "lct": lct,
                 "truncation": str(invariants.truncation_used),
             }
         )
-        lines.append(f"mu={invariants.mu} tau={invariants.tau} e_orb={defect} lct={verdict}")
+        lines.append(f"mu={invariants.mu} tau={invariants.tau} e_orb={defect} lct={lct}")
+    _, verdict = lct_obstruction((invariants.mu, invariants.tau) for invariants in results)
     values = items[0] if len(items) == 1 else {"items": items}
     tags = ["milnor-tjurina-truncation", "comparison-theorem-obstruction"]
-    return worst, values, tags, lines, None
+    return verdict, values, tags, lines, None
 
 
 def _cmd_global(args):
     pair = pair_from_dict(_load_document(args.input))
-    global_value = euler_orbifold_global(pair)
-    kd_sq = pair_kd_squared(pair)
     bmy = check_bmy(pair)
     multiplicities = check_bmy_multiplicities(pair)
+    global_value = bmy.global_value
+    # Both checkers state a failed precondition; report each note once.
+    notes = list(dict.fromkeys(bmy.notes + multiplicities.notes))
     values = {
         "e_orb": _rat(global_value.value),
         "kind": global_value.exactness.value,
         "lc": "lc" if global_value.lc else "non-lc",
-        "kd_sq": _rat(kd_sq),
+        "kd_sq": _rat(bmy.rhs),
         "bmy_lhs": _rat(bmy.lhs),
         "bmy_rhs": _rat(bmy.rhs),
         "bmy_slack": _rat(bmy.slack),
@@ -209,18 +198,18 @@ def _cmd_global(args):
         "mult_rhs": _rat(multiplicities.rhs),
         "mult_slack": _rat(multiplicities.slack),
         "mult_verdict": multiplicities.verdict.value,
-        "notes": list(bmy.notes + multiplicities.notes),
+        "notes": notes,
     }
     lines = [
         f"e_orb={_rat(global_value.value)} (~{_decimal(global_value.value)}) "
         f"kind={global_value.exactness.value} lc={values['lc']}",
-        f"(K+D)^2={_rat(kd_sq)}",
+        f"(K+D)^2={_rat(bmy.rhs)}",
         f"bmy: lhs={_rat(bmy.lhs)} rhs={_rat(bmy.rhs)} verdict={bmy.verdict.value}"
         + (" equality" if bmy.equality else ""),
         f"multiplicities: lhs={_rat(multiplicities.lhs)} rhs={_rat(multiplicities.rhs)} "
         f"verdict={multiplicities.verdict.value}",
     ]
-    lines.extend(f"note: {note}" for note in bmy.notes + multiplicities.notes)
+    lines.extend(f"note: {note}" for note in notes)
     tags = ["global-euler-assembly", "bmy-inequality", "multiplicity-refinement"]
     exit_code = max(
         _EXIT_BY_VERDICT[bmy.verdict.value], _EXIT_BY_VERDICT[multiplicities.verdict.value]
@@ -352,7 +341,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     germ = subparsers.add_parser("germ", help="Milnor/Tjurina numbers of a plane germ")
     germ.add_argument("input", help="polynomial in x,y; document path; '-'; or inline JSON")
-    germ.add_argument("--cap", type=int, help=f"truncation cap (default {DEFAULT_CAP})")
+    germ.add_argument(
+        "--cap", type=int, default=DEFAULT_CAP, help=f"truncation cap (default {DEFAULT_CAP})"
+    )
     germ.add_argument("--jobs", type=int, default=1, help="parallel workers for list input")
     germ.set_defaults(handler=_cmd_germ)
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .rationals import as_rational, format_rational, parse_rational
+from .rationals import as_rational, format_rational, is_integer, parse_rational
 
 __all__ = [
     "DEFAULT_CAP",
@@ -74,7 +74,7 @@ class CurveGerm:
             except (TypeError, ValueError):
                 raise ValueError(f"term {entry!r} is not an (i, j, coefficient) triple") from None
             for e in (i, j):
-                if isinstance(e, bool) or not isinstance(e, int) or e < 0:
+                if not is_integer(e) or e < 0:
                     raise ValueError(f"bad exponent pair in term {entry!r}")
             c = as_rational(c)
             if c:
@@ -149,12 +149,6 @@ def _as_germ(f) -> CurveGerm:
     raise TypeError(f"expected a CurveGerm or polynomial text, got {type(f).__name__}")
 
 
-def _check_cap(cap) -> int:
-    if isinstance(cap, bool) or not isinstance(cap, int) or cap < 1:
-        raise ValueError(f"cap must be a positive integer, got {cap!r}")
-    return cap
-
-
 def _partial(poly: Mapping, axis: int) -> dict:
     out: dict[tuple[int, int], Fraction] = {}
     for (i, j), c in poly.items():
@@ -221,38 +215,47 @@ def _stabilized_dimension(generators: Sequence[Mapping], cap: int) -> tuple[int,
     )
 
 
+def _ideal_generators(f, cap):
+    """The prologue shared by the numbers below.
+
+    Coerces the germ and checks the cap, then returns the generators of the
+    Jacobian ideal (f_x, f_y) and of the Tjurina ideal (f, f_x, f_y), or
+    None for a smooth germ, where both numbers are 0.
+    """
+    germ = _as_germ(f)
+    if not is_integer(cap) or cap < 1:
+        raise ValueError(f"cap must be a positive integer, got {cap!r}")
+    if _is_smooth(germ):
+        return None
+    poly = germ.coefficients()
+    jacobian = [_partial(poly, 0), _partial(poly, 1)]
+    return jacobian, [poly, *jacobian]
+
+
 def milnor_number(f, cap: int = DEFAULT_CAP) -> int:
     """dim of the Jacobian algebra O/(f_x, f_y) at the origin."""
-    germ = _as_germ(f)
-    cap = _check_cap(cap)
-    if _is_smooth(germ):
+    ideals = _ideal_generators(f, cap)
+    if ideals is None:
         return 0
-    poly = germ.coefficients()
-    dim, _ = _stabilized_dimension([_partial(poly, 0), _partial(poly, 1)], cap)
-    return dim
+    return _stabilized_dimension(ideals[0], cap)[0]
 
 
 def tjurina_number(f, cap: int = DEFAULT_CAP) -> int:
     """dim of O/(f, f_x, f_y) at the origin."""
-    germ = _as_germ(f)
-    cap = _check_cap(cap)
-    if _is_smooth(germ):
+    ideals = _ideal_generators(f, cap)
+    if ideals is None:
         return 0
-    poly = germ.coefficients()
-    dim, _ = _stabilized_dimension([poly, _partial(poly, 0), _partial(poly, 1)], cap)
-    return dim
+    return _stabilized_dimension(ideals[1], cap)[0]
 
 
 def germ_invariants(f, cap: int = DEFAULT_CAP) -> GermInvariants:
     """Both numbers plus the truncation at which they stabilised."""
-    germ = _as_germ(f)
-    cap = _check_cap(cap)
-    if _is_smooth(germ):
+    ideals = _ideal_generators(f, cap)
+    if ideals is None:
         return GermInvariants(0, 0, 1)
-    poly = germ.coefficients()
-    fx, fy = _partial(poly, 0), _partial(poly, 1)
-    mu, used_mu = _stabilized_dimension([fx, fy], cap)
-    tau, used_tau = _stabilized_dimension([poly, fx, fy], cap)
+    jacobian, tjurina = ideals
+    mu, used_mu = _stabilized_dimension(jacobian, cap)
+    tau, used_tau = _stabilized_dimension(tjurina, cap)
     if mu < tau:
         raise AssertionError(f"mu = {mu} < tau = {tau}: elimination bug")
     return GermInvariants(mu, tau, max(used_mu, used_tau))
@@ -266,16 +269,24 @@ def euler_reduced_germ(f, cap: int = DEFAULT_CAP) -> int:
 
 def log_chern_c2(c2_surface: int, kd_dot_d: int, taus: Iterable[int]) -> int:
     """Second Chern number of the logarithmic forms: c2 + (K+D).D - sum tau."""
-    return _check_int("c2_surface", c2_surface) + _check_int("kd_dot_d", kd_dot_d) - sum(
-        _check_int("tau", t) for t in taus
-    )
+    return _adjoint_difference(c2_surface, kd_dot_d, "tau", taus)
 
 
 def euler_top_complement(c2_surface: int, kd_dot_d: int, mus: Iterable[int]) -> int:
     """Topological Euler number of the complement: c2 + (K+D).D - sum mu."""
-    return _check_int("c2_surface", c2_surface) + _check_int("kd_dot_d", kd_dot_d) - sum(
-        _check_int("mu", m) for m in mus
-    )
+    return _adjoint_difference(c2_surface, kd_dot_d, "mu", mus)
+
+
+def _adjoint_difference(c2_surface, kd_dot_d, name: str, numbers: Iterable[int]) -> int:
+    for label, value in (("c2_surface", c2_surface), ("kd_dot_d", kd_dot_d)):
+        if not is_integer(value):
+            raise ValueError(f"{label} must be an integer, got {value!r}")
+    total = c2_surface + kd_dot_d
+    for number in numbers:
+        if not is_integer(number):
+            raise ValueError(f"{name} must be an integer, got {number!r}")
+        total -= number
+    return total
 
 
 def lct_obstruction(pairs: Iterable) -> tuple[int, str]:
@@ -288,18 +299,13 @@ def lct_obstruction(pairs: Iterable) -> tuple[int, str]:
     total = 0
     for entry in pairs:
         mu, tau = entry
-        _check_int("mu", mu)
-        _check_int("tau", tau)
+        for label, value in (("mu", mu), ("tau", tau)):
+            if not is_integer(value):
+                raise ValueError(f"{label} must be an integer, got {value!r}")
         if mu < 0 or tau < 0 or mu < tau:
             raise ValueError(f"need mu >= tau >= 0, got (mu, tau) = ({mu}, {tau})")
         total += mu - tau
     return total, ("LCT-fails" if total > 0 else "no-obstruction")
-
-
-def _check_int(name, value) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return value
 
 
 def germ_from_dict(doc) -> CurveGerm:

@@ -31,10 +31,11 @@ modelled here:
     and Tjurina numbers; the value is ``mu - tau``.
 
 Values are exact rationals.  Evaluators return :class:`EulerValue`, which
-couples the number with its exactness kind and a log-canonicity flag; callers
-must propagate the ``UPPER_BOUND`` kind.  Non log canonical germs report the
-exact value 0.  Everything here is immutable and pure, so unrestricted
-concurrent use is safe.
+couples the number with its exactness kind and a log-canonicity flag; that
+flag is the only lc verdict in the library, and callers must propagate the
+``UPPER_BOUND`` kind.  Non log canonical germs report the exact value 0.
+Everything here is immutable and pure, so unrestricted concurrent use is
+safe.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Union
 
-from .rationals import Chain, ChainError, as_rational, format_rational
+from .rationals import Chain, ChainError, as_rational, format_rational, is_integer
 
 __all__ = [
     "NotQuotientError",
@@ -60,7 +61,6 @@ __all__ = [
     "StarValidation",
     "CoverDegree",
     "CoverBundleData",
-    "lc_status",
     "euler_ordinary",
     "euler_cyclic",
     "star_invariants",
@@ -191,7 +191,7 @@ class StarQuotient:
     arms: tuple
 
     def __post_init__(self):
-        if isinstance(self.b, bool) or not isinstance(self.b, int) or self.b < 1:
+        if not is_integer(self.b) or self.b < 1:
             raise ValueError(f"central weight b must be a positive integer, got {self.b!r}")
         arms = tuple(
             arm if isinstance(arm, StarArm) else StarArm(Chain(arm[0], arm[1]), arm[2])
@@ -211,7 +211,7 @@ class ReducedGerm:
 
     def __post_init__(self):
         for name, value in (("mu", self.mu), ("tau", self.tau)):
-            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+            if not is_integer(value) or value < 0:
                 raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
         if self.mu < self.tau:
             raise ValueError(f"mu >= tau required, got mu={self.mu}, tau={self.tau}")
@@ -266,19 +266,6 @@ class CoverBundleData:
     degree: int
     sub_floor: int
     s_max: Fraction
-
-
-def lc_status(s: LocalSingularity) -> bool:
-    """Whether the germ is log canonical (without computing its value)."""
-    if isinstance(s, Ordinary):
-        return sum(s.coeffs) <= 2
-    if isinstance(s, CyclicQuotient):
-        return True
-    if isinstance(s, StarQuotient):
-        return star_invariants(s.b, s.arms).alpha >= 1
-    if isinstance(s, ReducedGerm):
-        return True
-    raise TypeError(f"not a local singularity: {type(s).__name__}")
 
 
 def euler_ordinary(coeffs) -> EulerValue:
@@ -387,7 +374,7 @@ def cover_degree(b0, p1: int, p2: int, p3: int) -> CoverDegree:
     if b0 <= 0:
         raise ValueError(f"b0 must be positive, got {format_rational(b0)}")
     for p in (p1, p2, p3):
-        if isinstance(p, bool) or not isinstance(p, int) or p < 1:
+        if not is_integer(p) or p < 1:
             raise ValueError(f"triple entries must be positive integers, got {p!r}")
     excess = Fraction(1, p1) + Fraction(1, p2) + Fraction(1, p3) - 1
     if excess <= 0:
@@ -398,7 +385,7 @@ def cover_degree(b0, p1: int, p2: int, p3: int) -> CoverDegree:
 
 def cover_bundle_data(n: int, l1: int, l2: int, l3: int) -> CoverBundleData:
     for name, value in (("n", n), ("l1", l1), ("l2", l2), ("l3", l3)):
-        if isinstance(value, bool) or not isinstance(value, int):
+        if not is_integer(value):
             raise ValueError(f"{name} must be an integer, got {value!r}")
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")

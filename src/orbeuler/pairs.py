@@ -14,6 +14,13 @@ pair is log canonical and a multiple of K_X + D is effective; equality forces
 K_X + D nef (reported as a note, never verified here).  A second form bounds
 ``(K_X + D)^2`` by weighted branch counts and multiplicities alone.
 
+Each quantity has one source: local values and lc flags come only from
+:func:`~orbeuler.local.euler_local`, e_orb only from
+:func:`euler_orbifold_global` (whose result :func:`check_bmy` reports as
+``global_value``), and ``(K_X + D)^2`` only from :func:`pair_kd_squared`.
+Both checkers word a failed precondition with the same note, and both
+evaluate every point, so a germ the evaluator refuses raises in either.
+
 The supplied point list is trusted to be all of Sing(X, D): omitting a
 singular point invalidates a certificate.  Two surface modes exist: the
 projective plane (intersection numbers from degrees, effectivity decided by
@@ -33,11 +40,10 @@ from .local import (
     Exactness,
     LocalSingularity,
     euler_local,
-    lc_status,
     singularity_from_dict,
     singularity_to_dict,
 )
-from .rationals import as_rational, format_rational
+from .rationals import as_rational, format_rational, is_integer
 
 __all__ = [
     "Verdict",
@@ -76,7 +82,7 @@ class SurfaceData:
 
     def __post_init__(self):
         for name, value in (("e_top", self.e_top), ("c1_sq", self.c1_sq)):
-            if isinstance(value, bool) or not isinstance(value, int):
+            if not is_integer(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.plane and (self.e_top, self.c1_sq) != (3, 9):
             raise ValueError("plane mode fixes e_top = 3 and c1_sq = 9")
@@ -114,10 +120,10 @@ class ComponentData:
                 f"component {self.id}: weight {format_rational(coeff)} outside [0, 1]"
             )
         object.__setattr__(self, "coeff", coeff)
-        if isinstance(self.genus, bool) or not isinstance(self.genus, int) or self.genus < 0:
+        if not is_integer(self.genus) or self.genus < 0:
             raise ValueError(f"component {self.id}: genus must be a nonnegative integer")
         if self.degree is not None:
-            if isinstance(self.degree, bool) or not isinstance(self.degree, int) or self.degree < 1:
+            if not is_integer(self.degree) or self.degree < 1:
                 raise ValueError(f"component {self.id}: degree must be a positive integer")
         if self.pairings is not None:
             object.__setattr__(self, "pairings", dict(self.pairings))
@@ -150,7 +156,7 @@ class SingularPointData:
                 raise ValueError(
                     f"point {self.id}: incidence {entry!r} is not a (component, branches) pair"
                 ) from None
-            if isinstance(branches, bool) or not isinstance(branches, int) or branches < 1:
+            if not is_integer(branches) or branches < 1:
                 raise ValueError(f"point {self.id}: branch count must be a positive integer")
             if component_id in seen:
                 raise ValueError(f"point {self.id}: component {component_id!r} listed twice")
@@ -193,12 +199,6 @@ class PairDescription:
         object.__setattr__(self, "components", components)
         object.__setattr__(self, "points", points)
 
-    def component(self, component_id: str) -> ComponentData:
-        for component in self.components:
-            if component.id == component_id:
-                return component
-        raise KeyError(component_id)
-
 
 @dataclass(frozen=True)
 class GlobalEuler:
@@ -215,8 +215,14 @@ class GlobalEuler:
 
 @dataclass(frozen=True)
 class BmyReport:
+    """The main certificate: lhs = 3 e_orb, rhs = (K+D)^2.
+
+    ``global_value`` is the assembled e_orb the left side came from; its
+    exactness kind and lc flag are the certificate's.
+    """
+
     lhs: Fraction
-    lhs_exactness: Exactness
+    global_value: GlobalEuler
     rhs: Fraction
     verdict: Verdict
     equality: bool
@@ -236,11 +242,11 @@ class IneqReport:
 
 def euler_top_curve(genus: int, branch_counts) -> int:
     """e_top of a curve: 2 - 2g - sum (r_P - 1) over its singular points."""
-    if isinstance(genus, bool) or not isinstance(genus, int) or genus < 0:
+    if not is_integer(genus) or genus < 0:
         raise ValueError(f"genus must be a nonnegative integer, got {genus!r}")
     total = 2 - 2 * genus
     for r in branch_counts:
-        if isinstance(r, bool) or not isinstance(r, int) or r < 1:
+        if not is_integer(r) or r < 1:
             raise ValueError(f"branch count must be a positive integer, got {r!r}")
         total -= r - 1
     return total
@@ -268,17 +274,14 @@ def euler_orbifold_global(pair: PairDescription) -> GlobalEuler:
     supplied point is log canonical.
     """
     local_values = _local_values(pair)
+    branch_counts = {component.id: [] for component in pair.components}
+    for point in pair.points:
+        for component_id, branches in point.incident:
+            branch_counts[component_id].append(branches)
     total = Fraction(pair.surface.e_top)
     for component in pair.components:
-        incidences = [
-            branches
-            for point in pair.points
-            for component_id, branches in point.incident
-            if component_id == component.id
-        ]
-        e_top_component = euler_top_curve(component.genus, incidences)
-        removed_points = len(incidences)
-        total -= component.coeff * (e_top_component - removed_points)
+        counts = branch_counts[component.id]
+        total -= component.coeff * (euler_top_curve(component.genus, counts) - len(counts))
     for _, value in local_values:
         total += value.value - 1
     exactness = (
@@ -327,18 +330,21 @@ def _intersection(left: ComponentData, right: ComponentData) -> int:
     raise ValueError(f"missing pairing entry between {left.id} and {right.id}")
 
 
-def _effectivity(pair: PairDescription) -> tuple[bool, str]:
+def _precondition_notes(pair: PairDescription, lc: bool) -> list:
+    """One note per failed precondition of the two checkers; empty if none."""
+    notes = []
+    if not lc:
+        notes.append("the pair is not log canonical at some supplied point")
     if pair.surface.plane:
         degree = sum((c.coeff * c.degree for c in pair.components), Fraction(0))
-        if degree >= 3:
-            return True, ""
-        return False, (
-            f"K+D has total degree {format_rational(degree - 3)} < 0 on the plane: "
-            "no multiple is effective"
-        )
-    if pair.effective:
-        return True, ""
-    return False, "effectivity of a multiple of K+D was not asserted"
+        if degree < 3:
+            notes.append(
+                f"K+D has total degree {format_rational(degree - 3)} < 0 on the plane: "
+                "no multiple is effective"
+            )
+    elif not pair.effective:
+        notes.append("effectivity of a multiple of K+D was not asserted")
+    return notes
 
 
 def check_bmy(pair: PairDescription) -> BmyReport:
@@ -354,17 +360,9 @@ def check_bmy(pair: PairDescription) -> BmyReport:
     global_value = euler_orbifold_global(pair)
     lhs = 3 * global_value.value
     rhs = pair_kd_squared(pair)
-    notes = []
-    preconditions = True
-    if not global_value.lc:
-        preconditions = False
-        notes.append("the pair is not log canonical at some supplied point")
-    effective, reason = _effectivity(pair)
-    if not effective:
-        preconditions = False
-        notes.append(reason)
+    notes = _precondition_notes(pair, global_value.lc)
     equality = global_value.is_exact and lhs == rhs
-    if not preconditions:
+    if notes:
         verdict = Verdict.PRECONDITION_FAILED
     elif lhs >= rhs:
         verdict = Verdict.PROVED if global_value.is_exact else Verdict.CONSISTENT_UPPER_BOUND
@@ -374,7 +372,7 @@ def check_bmy(pair: PairDescription) -> BmyReport:
         notes.append("equality: K+D is nef (consequence of the theorem, not verified)")
     return BmyReport(
         lhs=lhs,
-        lhs_exactness=global_value.exactness,
+        global_value=global_value,
         rhs=rhs,
         verdict=verdict,
         equality=equality,
@@ -387,32 +385,24 @@ def check_bmy_multiplicities(pair: PairDescription) -> IneqReport:
     """Certify (K+D)^2 <= 3 (c2 + sum a_i (2g_i - 2) + sum (r_P - m_P + m_P^2/4)).
 
     Here r_P is the weighted branch count sum a_i r_{P,i} and m_P the
-    supplied weighted multiplicity.  Preconditions as in :func:`check_bmy`.
+    supplied weighted multiplicity.  Preconditions as in :func:`check_bmy`;
+    every point is evaluated, so a germ the evaluator refuses raises here
+    exactly as it does there.
     """
     lhs = pair_kd_squared(pair)
+    weights = {c.id: c.coeff for c in pair.components}
     point_term = Fraction(0)
     for point in pair.points:
-        r = sum(
-            (pair.component(component_id).coeff * branches
-             for component_id, branches in point.incident),
-            Fraction(0),
-        )
+        r = sum((weights[cid] * branches for cid, branches in point.incident), Fraction(0))
         m = point.multiplicity
         point_term += r - m + m * m / 4
     genus_term = sum(
         (c.coeff * (2 * c.genus - 2) for c in pair.components), Fraction(0)
     )
     rhs = 3 * (pair.surface.e_top + genus_term + point_term)
-    notes = []
-    preconditions = True
-    if not all(lc_status(point.local) for point in pair.points):
-        preconditions = False
-        notes.append("the pair is not log canonical at some supplied point")
-    effective, reason = _effectivity(pair)
-    if not effective:
-        preconditions = False
-        notes.append(reason)
-    if not preconditions:
+    lc = all([euler_local(point.local).lc for point in pair.points])
+    notes = _precondition_notes(pair, lc)
+    if notes:
         verdict = Verdict.PRECONDITION_FAILED
     elif lhs <= rhs:
         verdict = Verdict.PROVED
@@ -436,12 +426,12 @@ def max_canonical_degree_extremal(genus: int, points) -> Fraction:
     negative for rational and elliptic curves without singular points, which
     is how such surfaces exclude them.
     """
-    if isinstance(genus, bool) or not isinstance(genus, int) or genus < 0:
+    if not is_integer(genus) or genus < 0:
         raise ValueError(f"genus must be a nonnegative integer, got {genus!r}")
     total = Fraction(3) * (genus - 1)
     for entry in points:
         r, m = entry
-        if isinstance(r, bool) or not isinstance(r, int) or r < 1:
+        if not is_integer(r) or r < 1:
             raise ValueError(f"branch count must be a positive integer, got {r!r}")
         m = as_rational(m)
         if r > m:

@@ -45,6 +45,11 @@ class ChainError(ValueError):
 _LITERAL = re.compile(r"[+-]?\d+(?:/\d+)?\Z")
 
 
+def is_integer(value) -> bool:
+    """Whether ``value`` is an exact integer: an ``int`` that is not a ``bool``."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse a rational literal ``"p/q"`` or ``"p"``."""
     s = text.strip()
@@ -104,7 +109,7 @@ class Chain:
     q: int
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or not isinstance(self.q, int):
+        if not is_integer(self.n) or not is_integer(self.q):
             raise ChainError(f"chain entries must be integers, got ({self.n!r}, {self.q!r})")
         if (self.n, self.q) == (1, 1):
             return
@@ -165,7 +170,7 @@ def hj_eval(entries) -> Chain:
     """
     num, den = 1, 0
     for b in reversed(list(entries)):
-        if isinstance(b, bool) or not isinstance(b, int) or b < 2:
+        if not is_integer(b) or b < 2:
             raise ChainError(f"chain entries must be integers >= 2, got {b!r}")
         num, den = b * num - den, num
     g = gcd(num, den)

@@ -14,6 +14,7 @@ from orbeuler import (
     CyclicQuotient,
     Ordinary,
     PairDescription,
+    ReducedGerm,
     SingularPointData,
     StarArm,
     StarQuotient,
@@ -208,6 +209,26 @@ def quotient_point_pair() -> PairDescription:
             ),
         ),
         effective=False,
+    )
+
+
+def refused_germ_pair() -> PairDescription:
+    """A weight-1 quartic through a reduced germ with mu - tau = 2.
+
+    The evaluator refuses that germ as not log canonical, so every checker
+    must refuse the pair.
+    """
+    return PairDescription(
+        SurfaceData.projective_plane(),
+        (ComponentData(id="C", coeff=F(1), genus=2, degree=4),),
+        (
+            SingularPointData(
+                id="P",
+                local=ReducedGerm(3, 1),
+                incident=(("C", 1),),
+                multiplicity=F(2),
+            ),
+        ),
     )
 
 

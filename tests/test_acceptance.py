@@ -104,7 +104,7 @@ def test_criterion_05_global_bmy_equality():
         assert report.rhs == 1
         assert report.verdict is Verdict.PROVED
         assert report.equality
-        assert report.lhs_exactness is Exactness.EXACT
+        assert report.global_value.exactness is Exactness.EXACT
 
 
 def test_criterion_06_cusp_ratio_grid():

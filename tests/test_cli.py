@@ -1,10 +1,25 @@
 import json
 from fractions import Fraction as F
 
-from orbeuler import format_rational, pair_to_dict, parse_rational
+import orbeuler.cli
+import orbeuler.pairs
+from orbeuler import (
+    euler_orbifold_global,
+    format_rational,
+    pair_kd_squared,
+    pair_to_dict,
+    parse_rational,
+)
 from orbeuler.cli import main
 
-from fixtures import concurrent_lines_pair, nine_cusp_sextic_pair, quadrilateral_pair
+from fixtures import (
+    concurrent_lines_pair,
+    lc_effective_corpus,
+    nine_cusp_sextic_pair,
+    quadrilateral_pair,
+    refused_germ_pair,
+    smooth_plane_curve_pair,
+)
 
 
 def run(capsys, *argv):
@@ -109,17 +124,10 @@ class TestGerm:
         assert code == 0
         assert payload["values"]["mu"] == "2"
 
-    def test_cap_env_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("OE_DEFAULT_CAP", "2")
-        code, _, err = run(capsys, "germ", "x^4+y^5")
+    def test_small_cap_is_exit_2(self, capsys):
+        code, _, err = run(capsys, "germ", "x^4+y^5", "--cap", "2")
         assert code == 2
         assert "stabilisation" in err
-
-    def test_cap_flag_beats_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("OE_DEFAULT_CAP", "2")
-        code, out, _ = run(capsys, "germ", "x^4+y^5", "--cap", "30")
-        assert code == 0
-        assert "mu=12" in out
 
     def test_parse_error(self, capsys):
         code, _, err = run(capsys, "germ", "z^2")
@@ -166,6 +174,54 @@ class TestGlobal:
         code, _, err = run(capsys, "global", '{"surface": {"mode": "plane"}, "points": [{}]}')
         assert code == 2
         assert "missing field" in err
+
+    def test_refused_germ_is_exit_2(self, capsys):
+        code, out, err = run(capsys, "global", json.dumps(pair_to_dict(refused_germ_pair())))
+        assert code == 2
+        assert out == ""
+        assert "not log canonical" in err
+
+    def test_shared_note_printed_once(self, capsys):
+        doc = json.dumps(pair_to_dict(smooth_plane_curve_pair(1, F(1, 2))))
+        note = "K+D has total degree -5/2 < 0 on the plane: no multiple is effective"
+        code, out, _ = run(capsys, "global", doc)
+        assert code == 1
+        assert out.count(note) == 1
+        code, payload, _ = run_machine(capsys, "global", doc)
+        assert code == 1
+        assert payload["values"]["notes"] == [note]
+
+    def test_assembles_once(self, capsys, monkeypatch):
+        calls = {"global": 0, "kd_sq": 0}
+
+        def counted(name, function):
+            def wrapper(pair):
+                calls[name] += 1
+                return function(pair)
+            return wrapper
+
+        assemble = counted("global", orbeuler.pairs.euler_orbifold_global)
+        monkeypatch.setattr(orbeuler.pairs, "euler_orbifold_global", assemble)
+        # Also catch a direct call, should the command import the function again.
+        monkeypatch.setattr(orbeuler.cli, "euler_orbifold_global", assemble, raising=False)
+        monkeypatch.setattr(
+            orbeuler.pairs, "pair_kd_squared", counted("kd_sq", orbeuler.pairs.pair_kd_squared)
+        )
+        doc = json.dumps(pair_to_dict(quadrilateral_pair()))
+        code, _, _ = run_machine(capsys, "global", doc)
+        assert code == 0
+        # one assembly, and (K+D)^2 once per checker with none of its own
+        assert calls == {"global": 1, "kd_sq": 2}
+
+    def test_values_match_direct_calls(self, capsys):
+        for name, pair in lc_effective_corpus():
+            direct = euler_orbifold_global(pair)
+            _, payload, _ = run_machine(capsys, "global", json.dumps(pair_to_dict(pair)))
+            values = payload["values"]
+            assert parse_rational(values["e_orb"]) == direct.value, name
+            assert values["kind"] == direct.exactness.value, name
+            assert values["lc"] == ("lc" if direct.lc else "non-lc"), name
+            assert parse_rational(values["kd_sq"]) == pair_kd_squared(pair), name
 
 
 class TestArrangement:

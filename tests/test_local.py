@@ -22,7 +22,6 @@ from orbeuler import (
     euler_ordinary,
     euler_ordinary3_cover_oracle,
     euler_star,
-    lc_status,
     singularity_from_dict,
     singularity_to_dict,
     star_invariants,
@@ -68,11 +67,12 @@ class TestEulerValue:
 
 class TestLcStatus:
     def test_examples(self):
-        assert lc_status(Ordinary((F(1), F(1), F(1)))) is False
-        assert lc_status(Ordinary((F(1, 2),) * 3)) is True
-        assert lc_status(star(1, CUSP_ARMS + ((1, 0, F(9, 10)),))) is False
-        assert lc_status(CyclicQuotient(Chain(4, 3), F(1), F(1))) is True
-        assert lc_status(ReducedGerm(12, 11)) is True
+        # The evaluator's flag is the only lc verdict.
+        assert euler_local(Ordinary((F(1), F(1), F(1)))).lc is False
+        assert euler_local(Ordinary((F(1, 2),) * 3)).lc is True
+        assert euler_local(star(1, CUSP_ARMS + ((1, 0, F(9, 10)),))).lc is False
+        assert euler_local(CyclicQuotient(Chain(4, 3), F(1), F(1))).lc is True
+        assert euler_local(ReducedGerm(12, 11)).lc is True
 
 
 class TestOrdinary:

@@ -31,6 +31,7 @@ from fixtures import (
     quadric_pair,
     quadrilateral_pair,
     quotient_point_pair,
+    refused_germ_pair,
     smooth_plane_curve_pair,
     concurrent_lines_pair,
 )
@@ -147,7 +148,7 @@ class TestCheckBmy:
     def test_upper_bound_verdict(self):
         report = check_bmy(four_concurrent_plus_two_pair())
         assert report.verdict is Verdict.CONSISTENT_UPPER_BOUND
-        assert report.lhs_exactness is Exactness.UPPER_BOUND
+        assert report.global_value.exactness is Exactness.UPPER_BOUND
         assert (report.lhs, report.rhs) == (F(3, 4), F(0))
 
     def test_nine_cusp_sextic_equality(self):
@@ -204,6 +205,26 @@ class TestCheckBmyMultiplicities:
             mult = check_bmy_multiplicities(pair)
             assert (bmy.verdict in certifying) == (mult.verdict in certifying), name
             assert mult.verdict is not Verdict.VIOLATION, name
+
+
+class TestLogCanonicity:
+    LC_NOTE = "the pair is not log canonical at some supplied point"
+
+    def test_refused_germ_raises_in_both_checkers(self):
+        pair = refused_germ_pair()
+        for checker in (check_bmy, check_bmy_multiplicities):
+            with pytest.raises(ValueError, match="mu - tau = 2 > 1"):
+                checker(pair)
+
+    def test_checkers_agree_on_lc(self):
+        non_lc = [
+            ("three concurrent lines a=1", concurrent_lines_pair(3, F(1))),
+            ("nine-cusp sextic alpha=9/10", nine_cusp_sextic_pair(F(9, 10))),
+        ]
+        for name, pair in lc_effective_corpus() + non_lc:
+            lc = euler_orbifold_global(pair).lc
+            for report in (check_bmy(pair), check_bmy_multiplicities(pair)):
+                assert (self.LC_NOTE not in report.notes) == lc, name
 
 
 class TestCurveDegreeCap:

@@ -70,7 +70,9 @@ class TestChain:
         with pytest.raises(ChainError):
             Chain(1, 0).value
 
-    @pytest.mark.parametrize("n,q", [(2, 2), (4, 2), (3, -1), (0, 0), (3, 5)])
+    @pytest.mark.parametrize(
+        "n,q", [(2, 2), (4, 2), (3, -1), (0, 0), (3, 5), (True, 0), (2, True)]
+    )
     def test_invalid_descriptors(self, n, q):
         with pytest.raises(ChainError):
             Chain(n, q)
