@@ -14,10 +14,7 @@ from orbeuler import (
     SingularPointData,
     SurfaceData,
     check_bmy,
-    check_bmy_multiplicities,
     cusp_star,
-    euler_orbifold_global,
-    pair_kd_squared,
 )
 
 
@@ -59,11 +56,10 @@ def nine_cusp_sextic(alpha=F(1, 2)):
 
 
 def show(name, pair):
-    value = euler_orbifold_global(pair)
     report = check_bmy(pair)
-    refined = check_bmy_multiplicities(pair)
+    value, refined = report.global_value, report.multiplicities
     print(f"== {name} ==")
-    print(f"  e_orb = {value.value} ({value.exactness.value}), (K+D)^2 = {pair_kd_squared(pair)}")
+    print(f"  e_orb = {value.value} ({value.exactness.value}), (K+D)^2 = {report.rhs}")
     flag = " with equality" if report.equality else ""
     print(f"  3 e_orb >= (K+D)^2 : {report.lhs} >= {report.rhs} -> {report.verdict.value}{flag}")
     print(f"  multiplicity form  : {refined.lhs} <= {refined.rhs} -> {refined.verdict.value}")

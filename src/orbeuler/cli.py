@@ -30,7 +30,7 @@ from .applications import (
 )
 from .germs import DEFAULT_CAP, CurveGerm, germ_from_dict, germ_invariants, lct_obstruction
 from .local import euler_local, singularity_from_dict
-from .pairs import check_bmy, check_bmy_multiplicities, pair_from_dict
+from .pairs import check_bmy, pair_from_dict
 from .rationals import as_rational, format_rational
 
 _EXIT_BY_VERDICT = {
@@ -72,8 +72,9 @@ def _parallel_map(function, items, jobs: int):
         raise ValueError(f"--jobs must be >= 1, got {jobs}")
     if jobs == 1 or len(items) <= 1:
         return [function(item) for item in items]
+    # About 64 chunks per worker amortise the round trip of cheap items.
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(function, items))
+        return list(pool.map(function, items, chunksize=max(1, len(items) // (64 * jobs))))
 
 
 def _eval_local_doc(doc):
@@ -180,10 +181,9 @@ def _cmd_germ(args):
 def _cmd_global(args):
     pair = pair_from_dict(_load_document(args.input))
     bmy = check_bmy(pair)
-    multiplicities = check_bmy_multiplicities(pair)
+    multiplicities = bmy.multiplicities
     global_value = bmy.global_value
-    # Both checkers state a failed precondition; report each note once.
-    notes = list(dict.fromkeys(bmy.notes + multiplicities.notes))
+    notes = list(bmy.notes)
     values = {
         "e_orb": _rat(global_value.value),
         "kind": global_value.exactness.value,

@@ -18,8 +18,10 @@ Each quantity has one source: local values and lc flags come only from
 :func:`~orbeuler.local.euler_local`, e_orb only from
 :func:`euler_orbifold_global` (whose result :func:`check_bmy` reports as
 ``global_value``), and ``(K_X + D)^2`` only from :func:`pair_kd_squared`.
-Both checkers word a failed precondition with the same note, and both
-evaluate every point, so a germ the evaluator refuses raises in either.
+:func:`check_bmy` evaluates each point once and reports both forms, the
+multiplicity form as ``multiplicities`` with the same precondition notes;
+:func:`check_bmy_multiplicities` reads it from there, so a germ the
+evaluator refuses raises in either.
 
 The supplied point list is trusted to be all of Sing(X, D): omitting a
 singular point invalidates a certificate.  Two surface modes exist: the
@@ -30,6 +32,7 @@ user-asserted effectivity flag.
 
 from __future__ import annotations
 
+import sys
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -218,7 +221,8 @@ class BmyReport:
     """The main certificate: lhs = 3 e_orb, rhs = (K+D)^2.
 
     ``global_value`` is the assembled e_orb the left side came from; its
-    exactness kind and lc flag are the certificate's.
+    exactness kind and lc flag are the certificate's.  ``multiplicities``
+    is the multiplicity form of the same pair.
     """
 
     lhs: Fraction
@@ -227,6 +231,7 @@ class BmyReport:
     verdict: Verdict
     equality: bool
     slack: Fraction
+    multiplicities: IneqReport
     notes: tuple = ()
 
 
@@ -252,18 +257,14 @@ def euler_top_curve(genus: int, branch_counts) -> int:
     return total
 
 
-def _local_values(pair: PairDescription):
-    values = []
-    for point in pair.points:
-        if not point.incident:
-            warnings.warn(
-                f"point {point.id} is incident to no component; "
-                "nothing is removed from any curve (suspicious input unless it is "
-                "a surface singularity off the boundary)",
-                stacklevel=3,
-            )
-        values.append((point, euler_local(point.local)))
-    return values
+def _outside_stacklevel() -> int:
+    """The warnings stacklevel naming the first frame outside this module."""
+    frame = sys._getframe(1)
+    level = 1
+    while frame is not None and frame.f_globals.get("__name__") == __name__:
+        frame = frame.f_back
+        level += 1
+    return level
 
 
 def euler_orbifold_global(pair: PairDescription) -> GlobalEuler:
@@ -273,23 +274,27 @@ def euler_orbifold_global(pair: PairDescription) -> GlobalEuler:
     terms enter with positive sign), and the lc flag records whether every
     supplied point is log canonical.
     """
-    local_values = _local_values(pair)
+    total = Fraction(pair.surface.e_top)
+    exact = lc = True
     branch_counts = {component.id: [] for component in pair.components}
     for point in pair.points:
+        if not point.incident:
+            warnings.warn(
+                f"point {point.id} is incident to no component; "
+                "nothing is removed from any curve (suspicious input unless it is "
+                "a surface singularity off the boundary)",
+                stacklevel=_outside_stacklevel(),
+            )
+        value = euler_local(point.local)
+        total += value.value - 1
+        exact = exact and value.is_exact
+        lc = lc and value.lc
         for component_id, branches in point.incident:
             branch_counts[component_id].append(branches)
-    total = Fraction(pair.surface.e_top)
     for component in pair.components:
         counts = branch_counts[component.id]
         total -= component.coeff * (euler_top_curve(component.genus, counts) - len(counts))
-    for _, value in local_values:
-        total += value.value - 1
-    exactness = (
-        Exactness.EXACT
-        if all(v.is_exact for _, v in local_values)
-        else Exactness.UPPER_BOUND
-    )
-    return GlobalEuler(total, exactness, all(v.lc for _, v in local_values))
+    return GlobalEuler(total, Exactness.EXACT if exact else Exactness.UPPER_BOUND, lc)
 
 
 def pair_kd_squared(pair: PairDescription) -> Fraction:
@@ -330,10 +335,26 @@ def _intersection(left: ComponentData, right: ComponentData) -> int:
     raise ValueError(f"missing pairing entry between {left.id} and {right.id}")
 
 
-def _precondition_notes(pair: PairDescription, lc: bool) -> list:
-    """One note per failed precondition of the two checkers; empty if none."""
+def check_bmy(pair: PairDescription) -> BmyReport:
+    """Certify 3 e_orb(X, D) >= (K_X + D)^2 and its multiplicity form.
+
+    Preconditions (checked, not assumed): every supplied point log
+    canonical, and a multiple of K+D effective (decided by degree in plane
+    mode, user-asserted otherwise).  With an exact left side the verdict is
+    Proved or Violation; with an upper-bound left side a passing comparison
+    is only ConsistentUpperBound, while a failing one is still a Violation
+    since the true value sits below the bound.
+
+    The multiplicity form, reported as ``multiplicities`` with the same
+    precondition notes, is (K+D)^2 <= 3 (c2 + sum a_i (2g_i - 2) +
+    sum (r_P - m_P + m_P^2/4)), where r_P is the weighted branch count
+    sum a_i r_{P,i} and m_P the supplied weighted multiplicity.
+    """
+    global_value = euler_orbifold_global(pair)
+    lhs = 3 * global_value.value
+    rhs = pair_kd_squared(pair)
     notes = []
-    if not lc:
+    if not global_value.lc:
         notes.append("the pair is not log canonical at some supplied point")
     if pair.surface.plane:
         degree = sum((c.coeff * c.degree for c in pair.components), Fraction(0))
@@ -344,23 +365,31 @@ def _precondition_notes(pair: PairDescription, lc: bool) -> list:
             )
     elif not pair.effective:
         notes.append("effectivity of a multiple of K+D was not asserted")
-    return notes
 
+    weights = {c.id: c.coeff for c in pair.components}
+    mult_rhs = pair.surface.e_top + sum(
+        (c.coeff * (2 * c.genus - 2) for c in pair.components), Fraction(0)
+    )
+    for point in pair.points:
+        r = sum((weights[cid] * branches for cid, branches in point.incident), Fraction(0))
+        m = point.multiplicity
+        mult_rhs += r - m + m * m / 4
+    mult_rhs *= 3
+    if notes:
+        mult_verdict = Verdict.PRECONDITION_FAILED
+    elif rhs <= mult_rhs:
+        mult_verdict = Verdict.PROVED
+    else:
+        mult_verdict = Verdict.VIOLATION
+    multiplicities = IneqReport(
+        lhs=rhs,
+        rhs=mult_rhs,
+        slack=mult_rhs - rhs,
+        verdict=mult_verdict,
+        equality=rhs == mult_rhs,
+        notes=tuple(notes),
+    )
 
-def check_bmy(pair: PairDescription) -> BmyReport:
-    """Certify 3 e_orb(X, D) >= (K_X + D)^2.
-
-    Preconditions (checked, not assumed): every supplied point log
-    canonical, and a multiple of K+D effective (decided by degree in plane
-    mode, user-asserted otherwise).  With an exact left side the verdict is
-    Proved or Violation; with an upper-bound left side a passing comparison
-    is only ConsistentUpperBound, while a failing one is still a Violation
-    since the true value sits below the bound.
-    """
-    global_value = euler_orbifold_global(pair)
-    lhs = 3 * global_value.value
-    rhs = pair_kd_squared(pair)
-    notes = _precondition_notes(pair, global_value.lc)
     equality = global_value.is_exact and lhs == rhs
     if notes:
         verdict = Verdict.PRECONDITION_FAILED
@@ -377,45 +406,14 @@ def check_bmy(pair: PairDescription) -> BmyReport:
         verdict=verdict,
         equality=equality,
         slack=lhs - rhs,
+        multiplicities=multiplicities,
         notes=tuple(notes),
     )
 
 
 def check_bmy_multiplicities(pair: PairDescription) -> IneqReport:
-    """Certify (K+D)^2 <= 3 (c2 + sum a_i (2g_i - 2) + sum (r_P - m_P + m_P^2/4)).
-
-    Here r_P is the weighted branch count sum a_i r_{P,i} and m_P the
-    supplied weighted multiplicity.  Preconditions as in :func:`check_bmy`;
-    every point is evaluated, so a germ the evaluator refuses raises here
-    exactly as it does there.
-    """
-    lhs = pair_kd_squared(pair)
-    weights = {c.id: c.coeff for c in pair.components}
-    point_term = Fraction(0)
-    for point in pair.points:
-        r = sum((weights[cid] * branches for cid, branches in point.incident), Fraction(0))
-        m = point.multiplicity
-        point_term += r - m + m * m / 4
-    genus_term = sum(
-        (c.coeff * (2 * c.genus - 2) for c in pair.components), Fraction(0)
-    )
-    rhs = 3 * (pair.surface.e_top + genus_term + point_term)
-    lc = all([euler_local(point.local).lc for point in pair.points])
-    notes = _precondition_notes(pair, lc)
-    if notes:
-        verdict = Verdict.PRECONDITION_FAILED
-    elif lhs <= rhs:
-        verdict = Verdict.PROVED
-    else:
-        verdict = Verdict.VIOLATION
-    return IneqReport(
-        lhs=lhs,
-        rhs=rhs,
-        slack=rhs - lhs,
-        verdict=verdict,
-        equality=lhs == rhs,
-        notes=tuple(notes),
-    )
+    """The multiplicity form of :func:`check_bmy`, read from its report."""
+    return check_bmy(pair).multiplicities
 
 
 def max_canonical_degree_extremal(genus: int, points) -> Fraction:

@@ -92,6 +92,20 @@ class TestLocal:
         code, payload, _ = run_machine(capsys, "local", docs, "--jobs", "2")
         assert code == 0
         assert [item["value"] for item in payload["values"]["items"]] == ["1/16", "1/3"]
+        # 320 docs give the pool chunks of several items each.
+        docs = json.dumps(
+            [
+                {"type": "ordinary", "coeffs": [f"1/{2 + i % 7}", f"1/{2 + i % 5}", "1/2"]}
+                if i % 2
+                else {"type": "cyclic", "n": 2 + i % 13, "q": 1, "d1": f"1/{1 + i % 3}", "d2": "0"}
+                for i in range(320)
+            ]
+        )
+        _, serial, _ = run_machine(capsys, "local", docs, "--jobs", "1")
+        code, parallel, _ = run_machine(capsys, "local", docs, "--jobs", "2")
+        assert code == 0
+        assert len(parallel["values"]["items"]) == 320
+        assert parallel == serial
 
     def test_invalid_weight_is_exit_2(self, capsys):
         code, _, err = run(capsys, "local", "--ordinary", "3/2")
@@ -192,7 +206,7 @@ class TestGlobal:
         assert payload["values"]["notes"] == [note]
 
     def test_assembles_once(self, capsys, monkeypatch):
-        calls = {"global": 0, "kd_sq": 0}
+        calls = {"global": 0, "kd_sq": 0, "local": 0}
 
         def counted(name, function):
             def wrapper(pair):
@@ -207,11 +221,14 @@ class TestGlobal:
         monkeypatch.setattr(
             orbeuler.pairs, "pair_kd_squared", counted("kd_sq", orbeuler.pairs.pair_kd_squared)
         )
-        doc = json.dumps(pair_to_dict(quadrilateral_pair()))
-        code, _, _ = run_machine(capsys, "global", doc)
+        monkeypatch.setattr(
+            orbeuler.pairs, "euler_local", counted("local", orbeuler.pairs.euler_local)
+        )
+        pair = quadrilateral_pair()
+        code, _, _ = run_machine(capsys, "global", json.dumps(pair_to_dict(pair)))
         assert code == 0
-        # one assembly, and (K+D)^2 once per checker with none of its own
-        assert calls == {"global": 1, "kd_sq": 2}
+        # one assembly, one (K+D)^2, and each point evaluated once for both forms
+        assert calls == {"global": 1, "kd_sq": 1, "local": len(pair.points)}
 
     def test_values_match_direct_calls(self, capsys):
         for name, pair in lc_effective_corpus():

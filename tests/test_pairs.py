@@ -1,13 +1,21 @@
+import json
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from orbeuler import (
+    Chain,
     ComponentData,
+    CyclicQuotient,
     Exactness,
     Ordinary,
     PairDescription,
+    ReducedGerm,
     SingularPointData,
+    StarQuotient,
     SurfaceData,
     Verdict,
     check_bmy,
@@ -35,6 +43,82 @@ from fixtures import (
     smooth_plane_curve_pair,
     concurrent_lines_pair,
 )
+
+weights = st.fractions(min_value=0, max_value=1, max_denominator=24)
+
+
+@st.composite
+def chains(draw):
+    n = draw(st.integers(min_value=1, max_value=30))
+    return Chain(n, draw(st.sampled_from([q for q in range(n) if gcd(n, q) == 1])))
+
+
+local_singularities = st.one_of(
+    st.builds(Ordinary, st.lists(weights, min_size=1, max_size=5).map(tuple)),
+    st.builds(CyclicQuotient, chains(), weights, weights),
+    st.builds(
+        StarQuotient,
+        st.integers(min_value=1, max_value=6),
+        st.lists(st.tuples(chains(), weights), min_size=3, max_size=3).map(
+            lambda arms: tuple((chain.n, chain.q, d) for chain, d in arms)
+        ),
+    ),
+    st.integers(min_value=0, max_value=40).flatmap(
+        lambda mu: st.builds(ReducedGerm, st.just(mu), st.integers(min_value=0, max_value=mu))
+    ),
+)
+ids = st.lists(st.text(min_size=1, max_size=4), max_size=5, unique=True)
+
+
+@st.composite
+def pair_descriptions(draw):
+    """Plane or generic pairs whose points draw from all four local classes."""
+    plane = draw(st.booleans())
+    component_ids = draw(ids)
+    degree = st.integers(min_value=1, max_value=12)
+    pairings = st.dictionaries(
+        st.sampled_from(["K", *component_ids]), st.integers(min_value=-40, max_value=40)
+    )
+    components = []
+    for cid in component_ids:
+        use_degree = plane or draw(st.booleans())
+        components.append(
+            ComponentData(
+                id=cid,
+                coeff=draw(weights),
+                genus=draw(st.integers(min_value=0, max_value=10)),
+                degree=draw(degree) if use_degree else None,
+                pairings=None if use_degree else draw(pairings),
+            )
+        )
+    incidences = (
+        st.lists(
+            st.tuples(st.sampled_from(component_ids), st.integers(min_value=1, max_value=4)),
+            max_size=len(component_ids),
+            unique_by=lambda entry: entry[0],
+        ).map(tuple)
+        if component_ids
+        else st.just(())
+    )
+    points = [
+        SingularPointData(
+            id=pid,
+            local=draw(local_singularities),
+            incident=draw(incidences),
+            multiplicity=draw(st.fractions(min_value=0, max_value=12, max_denominator=24)),
+        )
+        for pid in draw(ids)
+    ]
+    if plane:
+        surface = SurfaceData.projective_plane()
+    else:
+        surface = SurfaceData.generic(
+            draw(st.integers(min_value=-20, max_value=40)),
+            draw(st.integers(min_value=-20, max_value=40)),
+        )
+    return PairDescription(
+        surface, tuple(components), tuple(points), draw(st.sampled_from([None, True, False]))
+    )
 
 
 class TestEulerTopCurve:
@@ -85,9 +169,15 @@ class TestGlobalAssembly:
 
     def test_quotient_point_off_boundary(self):
         pair = quotient_point_pair()
-        with pytest.warns(UserWarning):
+        with pytest.warns(UserWarning) as record:
             value = euler_orbifold_global(pair)
         assert value.value == 3 - F(1, 2)
+        assert record[0].filename == __file__
+        # The warning names the caller's line, whichever entry point it used.
+        for checker in (check_bmy, check_bmy_multiplicities):
+            with pytest.warns(UserWarning, match="incident to no component") as record:
+                checker(pair)
+            assert record[0].filename == __file__, checker.__name__
 
 
 class TestKdSquared:
@@ -198,6 +288,10 @@ class TestCheckBmyMultiplicities:
         assert report.equality
         assert report.lhs == report.rhs == 1
 
+    def test_is_the_check_bmy_report(self):
+        for name, pair in lc_effective_corpus() + all_ordinary_corpus():
+            assert check_bmy_multiplicities(pair) == check_bmy(pair).multiplicities, name
+
     def test_agreement_with_bmy_on_ordinary_corpus(self):
         certifying = {Verdict.PROVED, Verdict.CONSISTENT_UPPER_BOUND}
         for name, pair in all_ordinary_corpus():
@@ -245,6 +339,10 @@ class TestDocuments:
             again = pair_from_dict(doc)
             assert euler_orbifold_global(again) == euler_orbifold_global(pair), name
             assert check_bmy(again) == check_bmy(pair), name
+
+    @given(pair_descriptions())
+    def test_round_trip_property(self, pair):
+        assert pair_from_dict(json.loads(json.dumps(pair_to_dict(pair)))) == pair
 
     def test_cuspidal_cubic_documents(self):
         pair = cuspidal_cubic_with_line_pair()
