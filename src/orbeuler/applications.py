@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 from typing import Mapping
 
 from .local import StarArm, StarQuotient
@@ -212,25 +213,22 @@ def cusp_ratio_optimize(grid_denominator: int) -> tuple[Fraction, Fraction]:
     """Minimize the cusps-per-d^2 ratio over the grid j/grid_denominator.
 
     The objective is f(alpha) = (3 alpha - alpha^2) / (3 (alpha + 1 -
-    (3/2)(alpha - 5/6)^2)) on (1/6, 5/6].  Every probe is a valid asymptotic
-    bound on its own, so correctness never depends on the optimizer; a finer
-    grid only tightens the certified ratio.  Returns (alpha_star,
-    ratio_star), the first grid point attaining the minimum.
+    (3/2)(alpha - 5/6)^2)) on (1/6, 5/6].  Its only critical point there is
+    the minimum alpha* = (sqrt 73 - 1)/24, so only the two grid points either
+    side of alpha* are probed.  Every probe is a valid asymptotic bound on its
+    own, so correctness never depends on the optimizer; a finer grid only
+    tightens the certified ratio.  Returns (alpha_star, ratio_star), the first
+    grid point attaining the minimum.
     """
     if not is_integer(grid_denominator) or grid_denominator < 48:
         raise ValueError(f"grid denominator must be an integer >= 48, got {grid_denominator!r}")
-    best_alpha = None
-    best_ratio = None
-    start = grid_denominator // 6 + 1
-    stop = (5 * grid_denominator) // 6
-    for j in range(start, stop + 1):
-        alpha = Fraction(j, grid_denominator)
-        numerator = 3 * alpha - alpha * alpha
-        denominator = 3 * (alpha + 1 - Fraction(3, 2) * (alpha - Fraction(5, 6)) ** 2)
-        ratio = numerator / denominator
-        if best_ratio is None or ratio < best_ratio:
-            best_alpha, best_ratio = alpha, ratio
-    return best_alpha, best_ratio
+    g = grid_denominator
+    # j = floor(g alpha*).  As alpha* - 1/6 > 1/7 and 5/6 - alpha* > 1/2, both j
+    # and j + 1 lie in [g//6 + 1, 5g//6] for g >= 48, so neither needs clipping.
+    j = (isqrt(73 * g * g) - g) // 24
+    alphas = (Fraction(j, g), Fraction(j + 1, g))
+    probes = [(a, (3 * a - a * a) / (3 * (a + 1 - cusp_euler(a)))) for a in alphas]
+    return min(probes, key=lambda probe: probe[1])
 
 
 def canonical_degree_bound(c1_sq: int, c2: int, genus: int, ordinary: bool) -> Fraction:

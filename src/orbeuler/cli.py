@@ -224,6 +224,8 @@ def _cmd_arrangement(args):
         doc = _load_document(args.input)
         if "k" not in doc or "t" not in doc:
             raise ValueError("arrangement document needs 'k' and 't' fields")
+        if not isinstance(doc["t"], dict):
+            raise ValueError("arrangement field 't' must be an object mapping r to t_r")
         data = ArrangementData.from_counts(doc["k"], doc["t"])
     else:
         if args.k is None or args.t is None:

@@ -193,13 +193,18 @@ class StarQuotient:
     def __post_init__(self):
         if not is_integer(self.b) or self.b < 1:
             raise ValueError(f"central weight b must be a positive integer, got {self.b!r}")
-        arms = tuple(
-            arm if isinstance(arm, StarArm) else StarArm(Chain(arm[0], arm[1]), arm[2])
-            for arm in self.arms
-        )
+        arms = tuple(arm if isinstance(arm, StarArm) else _star_arm(arm) for arm in self.arms)
         if len(arms) != 3:
             raise ValueError(f"a star has exactly 3 arms, got {len(arms)}")
         object.__setattr__(self, "arms", arms)
+
+
+def _star_arm(entry) -> StarArm:
+    try:
+        n, q, d = entry
+    except (TypeError, ValueError):
+        raise ValueError(f"star arm {entry!r} is not an (n, q, d) triple") from None
+    return StarArm(Chain(n, q), d)
 
 
 @dataclass(frozen=True)
@@ -298,26 +303,17 @@ def euler_cyclic(chain, d1, d2) -> EulerValue:
     return EulerValue(value, Exactness.EXACT, True)
 
 
-def star_invariants(b, arms=None) -> StarInvariants:
-    star = _as_star(b, arms)
+def star_invariants(b, arms) -> StarInvariants:
+    star = StarQuotient(b, tuple(arms))
     b0 = star.b - sum(Fraction(arm.q, arm.n) for arm in star.arms)
     shares = [(1 - arm.d) / arm.n for arm in star.arms]
     return StarInvariants(b0, sum(shares), min(shares))
 
 
-def _as_star(b, arms) -> StarQuotient:
-    if isinstance(b, StarQuotient):
-        return b
-    if arms is None:
-        raise ValueError("star arms are required when b is given as an integer")
-    return StarQuotient(b, tuple(arms))
-
-
 _EXCEPTIONAL_TRIPLES = ((2, 3, 3), (2, 3, 4), (2, 3, 5))
-_MULTIPLIER_LIMIT = 60
 
 
-def validate_star(b, arms=None) -> StarValidation:
+def validate_star(b, arms) -> StarValidation:
     """Find multipliers m_i >= 1 with (n_1 m_1, n_2 m_2, n_3 m_3) polyhedral.
 
     Polyhedral triples are (2, 2, n), (2, 3, 3), (2, 3, 4) and (2, 3, 5).
@@ -326,22 +322,16 @@ def validate_star(b, arms=None) -> StarValidation:
     Raises :class:`NotQuotientError` when b0 <= 0 or no assignment exists;
     the Euler value itself never depends on the assignment found.
     """
-    star = _as_star(b, arms)
+    star = StarQuotient(b, tuple(arms))
     invariants = star_invariants(star.b, star.arms)
     if invariants.b0 <= 0:
         raise NotQuotientError(
             f"b0 = {format_rational(invariants.b0)} <= 0: the central curve does not contract"
         )
     ns = tuple(arm.n for arm in star.arms)
-    for m1 in range(1, _MULTIPLIER_LIMIT + 1):
-        if ns[0] * m1 > 5:
-            break
-        for m2 in range(1, _MULTIPLIER_LIMIT + 1):
-            if ns[1] * m2 > 5:
-                break
-            for m3 in range(1, _MULTIPLIER_LIMIT + 1):
-                if ns[2] * m3 > 5:
-                    break
+    for m1 in range(1, 5 // ns[0] + 1):
+        for m2 in range(1, 5 // ns[1] + 1):
+            for m3 in range(1, 5 // ns[2] + 1):
                 triple = tuple(sorted((ns[0] * m1, ns[1] * m2, ns[2] * m3)))
                 if triple in _EXCEPTIONAL_TRIPLES:
                     return StarValidation(invariants, triple, (m1, m2, m3))
@@ -357,7 +347,7 @@ def validate_star(b, arms=None) -> StarValidation:
     raise NotQuotientError(f"no polyhedral assignment for arm orders {ns}")
 
 
-def euler_star(b, arms=None) -> EulerValue:
+def euler_star(b, arms) -> EulerValue:
     """Value of a star-shaped quotient point; see the module docstring."""
     validation = validate_star(b, arms)
     inv = validation.invariants

@@ -9,6 +9,10 @@ special point by its local value:
     e_orb(X, D) = e_top(X) - sum a_i e_top(D_i - Sing(X, D))
                   + sum over points (e_loc - 1).
 
+With B_i the number of branches of D_i at the supplied points,
+e_top(D_i - Sing(X, D)) = 2 - 2 g_i - B_i, so e_orb is assembled from the
+integer totals B_i as ``e_top(X) + sum a_i (2 g_i - 2 + B_i)`` plus local terms.
+
 The main certificate is ``3 e_orb(X, D) >= (K_X + D)^2``, valid when the
 pair is log canonical and a multiple of K_X + D is effective; equality forces
 K_X + D nef (reported as a note, never verified here).  A second form bounds
@@ -105,7 +109,7 @@ class ComponentData:
 
     Plane mode uses ``degree``; generic mode uses ``pairings``, a mapping
     with the key ``"K"`` for K.D_i, the component's own id for D_i^2, and
-    other component ids for D_i.D_j.
+    other component ids for D_i.D_j, so a generic pair rejects the id "K".
     """
 
     id: str
@@ -199,6 +203,8 @@ class PairDescription:
             for component in components:
                 if component.degree is None:
                     raise ValueError(f"component {component.id}: plane mode needs a degree")
+        elif "K" in known:
+            raise ValueError("component id 'K' is reserved in generic mode for K.D_i")
         object.__setattr__(self, "components", components)
         object.__setattr__(self, "points", points)
 
@@ -274,9 +280,8 @@ def euler_orbifold_global(pair: PairDescription) -> GlobalEuler:
     terms enter with positive sign), and the lc flag records whether every
     supplied point is log canonical.
     """
-    total = Fraction(pair.surface.e_top)
+    total = _base(pair)
     exact = lc = True
-    branch_counts = {component.id: [] for component in pair.components}
     for point in pair.points:
         if not point.incident:
             warnings.warn(
@@ -289,12 +294,18 @@ def euler_orbifold_global(pair: PairDescription) -> GlobalEuler:
         total += value.value - 1
         exact = exact and value.is_exact
         lc = lc and value.lc
-        for component_id, branches in point.incident:
-            branch_counts[component_id].append(branches)
-    for component in pair.components:
-        counts = branch_counts[component.id]
-        total -= component.coeff * (euler_top_curve(component.genus, counts) - len(counts))
     return GlobalEuler(total, Exactness.EXACT if exact else Exactness.UPPER_BOUND, lc)
+
+
+def _base(pair: PairDescription) -> Fraction:
+    """e_top(X) + sum a_i (2 g_i - 2 + B_i), with B_i the branches on D_i."""
+    branches = {component.id: 0 for component in pair.components}
+    for point in pair.points:
+        for component_id, count in point.incident:
+            branches[component_id] += count
+    return pair.surface.e_top + sum(
+        (c.coeff * (2 * c.genus - 2 + branches[c.id]) for c in pair.components), Fraction(0)
+    )
 
 
 def pair_kd_squared(pair: PairDescription) -> Fraction:
@@ -348,7 +359,8 @@ def check_bmy(pair: PairDescription) -> BmyReport:
     The multiplicity form, reported as ``multiplicities`` with the same
     precondition notes, is (K+D)^2 <= 3 (c2 + sum a_i (2g_i - 2) +
     sum (r_P - m_P + m_P^2/4)), where r_P is the weighted branch count
-    sum a_i r_{P,i} and m_P the supplied weighted multiplicity.
+    sum a_i r_{P,i} and m_P the supplied weighted multiplicity; as
+    sum_P r_P = sum a_i B_i, it shares its base with the e_orb assembly.
     """
     global_value = euler_orbifold_global(pair)
     lhs = 3 * global_value.value
@@ -366,15 +378,8 @@ def check_bmy(pair: PairDescription) -> BmyReport:
     elif not pair.effective:
         notes.append("effectivity of a multiple of K+D was not asserted")
 
-    weights = {c.id: c.coeff for c in pair.components}
-    mult_rhs = pair.surface.e_top + sum(
-        (c.coeff * (2 * c.genus - 2) for c in pair.components), Fraction(0)
-    )
-    for point in pair.points:
-        r = sum((weights[cid] * branches for cid, branches in point.incident), Fraction(0))
-        m = point.multiplicity
-        mult_rhs += r - m + m * m / 4
-    mult_rhs *= 3
+    m_terms = sum((p.multiplicity**2 / 4 - p.multiplicity for p in pair.points), Fraction(0))
+    mult_rhs = 3 * (_base(pair) + m_terms)
     if notes:
         mult_verdict = Verdict.PRECONDITION_FAILED
     elif rhs <= mult_rhs:

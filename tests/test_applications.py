@@ -35,6 +35,29 @@ def paper_cusp_constant_bracket():
     return (125 + F(z, 10**8)) / 432, (125 + F(z + 1, 10**8)) / 432
 
 
+def cusp_objective(alpha):
+    return (3 * alpha - alpha**2) / (3 * (alpha + 1 - F(3, 2) * (alpha - F(5, 6)) ** 2))
+
+
+def cusp_integer_objective(j, g):
+    """Numerator and denominator of the objective at alpha = j/g, both in Z."""
+    return 8 * (3 * j * g - j * j), 24 * j * g + 24 * g * g - (6 * j - 5 * g) ** 2
+
+
+def cusp_grid_scan(g):
+    """The first grid point of (1/6, 5/6] minimising the objective, by a full scan.
+
+    Comparing integer cross products keeps the scan fast enough to run
+    over thousands of grids; the winner's ratio comes from the objective.
+    """
+    best = None
+    for j in range(g // 6 + 1, 5 * g // 6 + 1):
+        num, den = cusp_integer_objective(j, g)
+        if best is None or num * best[2] < best[1] * den:
+            best = (j, num, den)
+    return F(best[0], g), cusp_objective(F(best[0], g))
+
+
 class TestArrangements:
     def test_fermat_equality_family(self):
         for m in (2, 3, 4, 5, 10):
@@ -130,9 +153,7 @@ class TestCuspCountBound:
 
 class TestCuspRatio:
     def test_endpoint_value(self):
-        alpha = F(5, 6)
-        value = (3 * alpha - alpha**2) / (3 * (alpha + 1 - F(3, 2) * (alpha - F(5, 6)) ** 2))
-        assert value == F(65, 198)
+        assert cusp_objective(F(5, 6)) == F(65, 198)
 
     def test_coarse_grid(self):
         alpha_star, ratio_star = cusp_ratio_optimize(48)
@@ -150,6 +171,22 @@ class TestCuspRatio:
         # the grid minimum sits above the true infimum and within 1e-4 of it
         assert low <= ratio_star <= high + F(1, 10**4)
         assert F(9, 32) < ratio_star < F(5, 16)
+
+    def test_integer_objective_is_the_objective(self):
+        for g in (48, 97, 272):
+            for j in range(g // 6 + 1, 5 * g // 6 + 1):
+                assert F(*cusp_integer_objective(j, g)) == cusp_objective(F(j, g)), (j, g)
+
+    def test_matches_grid_scan(self):
+        for g in range(48, 3001):
+            assert cusp_ratio_optimize(g) == cusp_grid_scan(g), g
+        for g in (10**4, 10**5, 60000, 60048, 60096):
+            assert cusp_ratio_optimize(g) == cusp_grid_scan(g), g
+
+    def test_tie_keeps_the_first_grid_point(self):
+        # At g = 272 the two grid points around alpha* tie exactly.
+        assert cusp_objective(F(5, 16)) == cusp_objective(F(43, 136)) == F(430, 1391)
+        assert cusp_ratio_optimize(272) == (F(5, 16), F(430, 1391))
 
     def test_finer_grids_do_not_worsen(self):
         _, coarse = cusp_ratio_optimize(48)

@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction as F
 
 import orbeuler.cli
@@ -17,6 +18,7 @@ from fixtures import (
     lc_effective_corpus,
     nine_cusp_sextic_pair,
     quadrilateral_pair,
+    quotient_point_pair,
     refused_germ_pair,
     smooth_plane_curve_pair,
 )
@@ -47,6 +49,10 @@ def assert_rationals_reparse(node):
         except ValueError:
             return
         assert parse_rational(format_rational(parsed)) == parsed
+
+
+# A star whose first arm lacks its weight.
+SHORT_ARM_STAR = {"type": "star", "b": 1, "arms": [[2, 1], [3, 1, 0], [1, 0, "1/2"]]}
 
 
 class TestLocal:
@@ -106,6 +112,11 @@ class TestLocal:
         assert code == 0
         assert len(parallel["values"]["items"]) == 320
         assert parallel == serial
+
+    def test_short_star_arm_is_exit_2(self, capsys):
+        code, out, err = run(capsys, "local", json.dumps(SHORT_ARM_STAR))
+        assert (code, out) == (2, "")
+        assert "is not an (n, q, d) triple" in err
 
     def test_invalid_weight_is_exit_2(self, capsys):
         code, _, err = run(capsys, "local", "--ordinary", "3/2")
@@ -189,6 +200,13 @@ class TestGlobal:
         assert code == 2
         assert "missing field" in err
 
+    def test_short_star_arm_is_exit_2(self, capsys):
+        doc = pair_to_dict(quotient_point_pair())
+        doc["points"][0]["local"] = SHORT_ARM_STAR
+        code, out, err = run(capsys, "global", json.dumps(doc))
+        assert (code, out) == (2, "")
+        assert "is not an (n, q, d) triple" in err
+
     def test_refused_germ_is_exit_2(self, capsys):
         code, out, err = run(capsys, "global", json.dumps(pair_to_dict(refused_germ_pair())))
         assert code == 2
@@ -263,6 +281,11 @@ class TestArrangement:
         assert code == 0
         assert payload["values"]["incidence_sum"] == "12"
 
+    def test_t_not_an_object_is_exit_2(self, capsys):
+        code, out, err = run(capsys, "arrangement", '{"k": 4, "t": [1]}')
+        assert (code, out) == (2, "")
+        assert "'t' must be an object" in err
+
 
 class TestCusps:
     def test_count(self, capsys):
@@ -274,6 +297,15 @@ class TestCusps:
         code, payload, _ = run_machine(capsys, "cusps", "--optimize", "--grid", "48")
         assert code == 0
         assert payload["values"]["alpha_star"] == "5/16"
+
+    def test_optimize_huge_grid(self, capsys):
+        # Two probes around alpha* = (sqrt(73) - 1)/24, whatever the grid size.
+        grid = 10**12
+        code, payload, _ = run_machine(capsys, "cusps", "--optimize", "--grid", str(grid))
+        assert code == 0
+        alpha_star = parse_rational(payload["values"]["alpha_star"])
+        assert grid % alpha_star.denominator == 0
+        assert abs(float(alpha_star) - (math.sqrt(73) - 1) / 24) < F(1, grid)
 
     def test_invalid_query(self, capsys):
         code, _, err = run(capsys, "cusps", "--degree", "4", "--alpha", "1/2")
