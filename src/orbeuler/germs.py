@@ -2,13 +2,16 @@
 
 For a germ ``f`` vanishing at the origin the Milnor number is the local
 dimension of ``O/(f_x, f_y)`` and the Tjurina number that of
-``O/(f, f_x, f_y)``.  Both are found by exact row reduction: the dimension
-of ``Q[x, y] / (generators + (x, y)^N)`` over the monomial basis of total
-degree < N is computed for increasing N.  That quotient is supported at the
-origin, and once dim(N) = dim(N + 1) Nakayama's lemma certifies that
-``(x, y)^N`` lies in the local ideal, so the stabilised dimension is the
-local value.  No local standard-basis machinery is needed; the default cap
-N <= 30 keeps the basis at 465 monomials, ample at desk scale.
+``O/(f, f_x, f_y)``.  Each is found by one exact elimination: the multiples
+x^a y^b g of the generators, truncated below degree ``cap`` and inserted by
+a + b, are row-reduced at their lowest monomial in a degree-compatible
+order.  The pivots of degree < N then span the ideal's image modulo
+``(x, y)^N``, so that one echelon form gives dim(N) of
+``Q[x, y] / (generators + (x, y)^N)`` for every N <= cap at once.  That
+quotient is supported at the origin, and once dim(N) = dim(N + 1)
+Nakayama's lemma certifies that ``(x, y)^N`` lies in the local ideal, so
+the elimination stops there with the local value.  Rows live on the
+monomials of degree < cap: 465 at the default cap 30, ample at desk scale.
 
 A germ that never stabilises by the cap is reported as
 :class:`NotIsolatedError` (non-isolated singularity, or cap too small); a
@@ -164,51 +167,44 @@ def _is_smooth(germ: CurveGerm) -> bool:
 
 
 def _reduce_insert(row: dict, pivots: dict) -> None:
-    # Plain linear triangularisation over sparse rows; the monomial order is
-    # immaterial for the rank.
+    # Rows are keyed by (degree, x-exponent) and reduced at their lowest key,
+    # a degree-compatible order: the lead of a row only rises under reduction,
+    # so the pivots of degree < N span the truncation of the rows below N.
     while row:
-        lead = max(row)
+        lead = min(row)
         pivot = pivots.get(lead)
         if pivot is None:
             inv = 1 / row[lead]
             pivots[lead] = {m: c * inv for m, c in row.items()}
             return
         factor = row[lead]
-        merged = dict(row)
         for m, c in pivot.items():
-            value = merged.get(m, Fraction(0)) - factor * c
+            value = row.get(m, Fraction(0)) - factor * c
             if value:
-                merged[m] = value
+                row[m] = value
             else:
-                merged.pop(m, None)
-        row = merged
-
-
-def _quotient_dimension(generators: Sequence[Mapping], degree_cap: int) -> int:
-    """dim of Q[x, y]/(ideal + (x, y)^degree_cap) on monomials of degree < degree_cap."""
-    pivots: dict[tuple[int, int], dict] = {}
-    for gen in generators:
-        if not gen:
-            continue
-        for a in range(degree_cap):
-            for b in range(degree_cap - a):
-                row = {
-                    (i + a, j + b): c
-                    for (i, j), c in gen.items()
-                    if i + a + j + b < degree_cap
-                }
-                if row:
-                    _reduce_insert(row, pivots)
-    return degree_cap * (degree_cap + 1) // 2 - len(pivots)
+                row.pop(m, None)
 
 
 def _stabilized_dimension(generators: Sequence[Mapping], cap: int) -> tuple[int, int]:
-    previous = None
-    for upto in range(1, cap + 1):
-        dim = _quotient_dimension(generators, upto)
-        if dim == previous:
-            return dim, upto
-        previous = dim
+    """First N with dim(N) = dim(N - 1), and that dim, read off one echelon form.
+
+    dim(N) = N(N+1)/2 - #(pivots of degree < N) for every N <= cap.  The
+    multiple x^a y^b g has order > a + b, so the pivots of degree d are final
+    once the multiples with a + b = d - 1 are in, and dim(d + 1) = dim(d)
+    exactly when all d + 1 monomials of degree d are pivots.
+    """
+    pivots: dict[tuple[int, int], dict] = {}
+    below = 0
+    for d in range(1, cap):
+        for gen in generators:
+            for a in range(d):
+                row = {(i + j + d - 1, i + a): c for (i, j), c in gen.items() if i + j + d <= cap}
+                _reduce_insert(row, pivots)
+        at_d = sum((d, i) in pivots for i in range(d + 1))
+        if at_d == d + 1:
+            return d * (d + 1) // 2 - below, d + 1
+        below += at_d
     raise NotIsolatedError(
         f"no stabilisation up to truncation {cap}: "
         "non-isolated singularity (possibly a non-reduced germ) or cap too small"

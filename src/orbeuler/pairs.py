@@ -110,6 +110,7 @@ class ComponentData:
     Plane mode uses ``degree``; generic mode uses ``pairings``, a mapping
     with the key ``"K"`` for K.D_i, the component's own id for D_i^2, and
     other component ids for D_i.D_j, so a generic pair rejects the id "K".
+    Every pairing is an integer, and a pair rejects any other key.
     """
 
     id: str
@@ -133,7 +134,17 @@ class ComponentData:
             if not is_integer(self.degree) or self.degree < 1:
                 raise ValueError(f"component {self.id}: degree must be a positive integer")
         if self.pairings is not None:
-            object.__setattr__(self, "pairings", dict(self.pairings))
+            pairings = dict(self.pairings)
+            for key, value in pairings.items():
+                if not isinstance(key, str) or not key:
+                    raise ValueError(
+                        f"component {self.id}: pairing key {key!r} is not a nonempty string"
+                    )
+                if not is_integer(value):
+                    raise ValueError(
+                        f"component {self.id}: pairing {key!r} must be an integer, got {value!r}"
+                    )
+            object.__setattr__(self, "pairings", pairings)
 
 
 @dataclass(frozen=True)
@@ -193,6 +204,13 @@ class PairDescription:
         if len(set(point_ids)) != len(point_ids):
             raise ValueError("point ids must be unique")
         known = set(ids)
+        for component in components:
+            for key in component.pairings or ():
+                if key != "K" and key not in known:
+                    raise ValueError(
+                        f"component {component.id}: pairing key {key!r} is neither 'K' "
+                        "nor a component id"
+                    )
         for point in points:
             for component_id, _ in point.incident:
                 if component_id not in known:

@@ -2,6 +2,8 @@ import json
 import math
 from fractions import Fraction as F
 
+import pytest
+
 import orbeuler.cli
 import orbeuler.pairs
 from orbeuler import (
@@ -17,6 +19,7 @@ from fixtures import (
     concurrent_lines_pair,
     lc_effective_corpus,
     nine_cusp_sextic_pair,
+    quadric_pair,
     quadrilateral_pair,
     quotient_point_pair,
     refused_germ_pair,
@@ -206,6 +209,23 @@ class TestGlobal:
         code, out, err = run(capsys, "global", json.dumps(doc))
         assert (code, out) == (2, "")
         assert "is not an (n, q, d) triple" in err
+
+    @pytest.mark.parametrize(
+        "pairings, named",
+        [
+            ({"K": True, "D": 32}, "pairing 'K'"),
+            ({"K": -16, "D": 32.0}, "pairing 'D'"),
+            ({"K": "-16", "D": 32}, "pairing 'K'"),
+            ({"K": -16, "D": 32, "E": 0}, "pairing key 'E'"),
+            ({"K": -16, "D": 32, "": 0}, "pairing key ''"),
+        ],
+    )
+    def test_invalid_pairing_is_exit_2(self, capsys, pairings, named):
+        doc = pair_to_dict(quadric_pair())
+        doc["components"][0]["pairings"] = pairings
+        code, out, err = run(capsys, "global", json.dumps(doc))
+        assert (code, out) == (2, "")
+        assert f"component D: {named}" in err
 
     def test_refused_germ_is_exit_2(self, capsys):
         code, out, err = run(capsys, "global", json.dumps(pair_to_dict(refused_germ_pair())))

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from orbeuler import (
+    DEFAULT_CAP,
     CurveGerm,
     NotIsolatedError,
     euler_reduced_germ,
@@ -27,6 +28,117 @@ ADE_NORMAL_FORMS = (
     + [f"x^2y+y^{k - 1}" for k in range(4, 7)]       # D_k, k <= 6
     + ["x^3+y^4", "x^3+xy^3", "x^3+y^5"]             # E6, E7, E8
 )
+
+BRIESKORN_FORMS = [f"x^{p}+y^{q}" for p in range(2, 8) for q in range(p, 8)]
+
+# x^a + y^b + x^i y^j with (i, j) strictly above the Newton diagram, i/a + j/b > 1.
+SEMI_QUASI_HOMOGENEOUS_FORMS = [
+    f"x^{a}+y^{b}+x^{i}y^{j}"
+    for a in range(3, 6)
+    for b in range(a, 7)
+    for i in range(1, a)
+    for j in (b * (a - i) // a + 1, b * (a - i) // a + 2)
+]
+
+NON_ISOLATED_FORMS = ["x^2", "x^3", "x^2y^2", "x^3y^2+x^2y^3"]
+
+
+def seeded_perturbations():
+    """Random x^p + y^q + c x^i y^j with the perturbation above the Newton diagram."""
+    rng = random.Random(20240229)
+    germs = []
+    for _ in range(20):
+        p = rng.randint(3, 5)
+        q = rng.randint(p, 5)
+        i = rng.randint(1, p - 1)
+        # exponent above the Newton diagram keeps the singularity and mu
+        j = q - (q * i) // p + rng.randint(1, 2)
+        coeff = F(rng.randint(1, 5), rng.randint(1, 5))
+        germs.append(CurveGerm(((p, 0, F(1)), (0, q, F(1)), (i, j, coeff))))
+    return germs
+
+
+def restart_dimension(generators, cap):
+    """The first N <= cap with dim(N) = dim(N - 1), and that dim.
+
+    Each dim(N) of Q[x, y]/(ideal + (x, y)^N) comes from a fresh elimination
+    of every multiple x^a y^b g truncated below degree N, pivoting on the
+    largest monomial: the engine's former method, kept as its oracle.
+    """
+    previous = None
+    for n in range(1, cap + 1):
+        pivots = {}
+        for gen in generators:
+            for a in range(n):
+                for b in range(n - a):
+                    row = {(i + a, j + b): c for (i, j), c in gen.items() if i + a + j + b < n}
+                    while row:
+                        lead = max(row)
+                        if lead not in pivots:
+                            pivots[lead] = {m: c / row[lead] for m, c in row.items()}
+                            break
+                        factor = row[lead]
+                        for m, c in pivots[lead].items():
+                            row[m] = row.get(m, 0) - factor * c
+                            if not row[m]:
+                                del row[m]
+        dim = n * (n + 1) // 2 - len(pivots)
+        if dim == previous:
+            return dim, n
+        previous = dim
+    raise NotIsolatedError(f"no stabilisation up to truncation {cap}")
+
+
+def restart_invariants(germ, cap):
+    """(mu, tau, truncation_used) by :func:`restart_dimension`."""
+    poly = germ.coefficients()
+    if any(i + j == 1 for i, j in poly):
+        return 0, 0, 1
+    f_x = {(i - 1, j): c * i for (i, j), c in poly.items() if i}
+    f_y = {(i, j - 1): c * j for (i, j), c in poly.items() if j}
+    mu, used_mu = restart_dimension([f_x, f_y], cap)
+    tau, used_tau = restart_dimension([poly, f_x, f_y], cap)
+    return mu, tau, max(used_mu, used_tau)
+
+
+def outcome(compute, germ, cap):
+    try:
+        return tuple(compute(germ, cap))
+    except NotIsolatedError:
+        return NotIsolatedError
+
+
+def engine_invariants(germ, cap):
+    invariants = germ_invariants(germ, cap)
+    return invariants.mu, invariants.tau, invariants.truncation_used
+
+
+class TestRestartOracle:
+    @pytest.mark.parametrize(
+        "germ",
+        [
+            CurveGerm.parse(text)
+            for text in ADE_NORMAL_FORMS + BRIESKORN_FORMS + SEMI_QUASI_HOMOGENEOUS_FORMS
+        ]
+        + seeded_perturbations(),
+        ids=str,
+    )
+    def test_matches_at_first_stable_truncation_and_below(self, germ):
+        _, _, first = restart_invariants(germ, DEFAULT_CAP)
+        for cap in (first, first - 1):
+            if cap >= 1:
+                expected = outcome(restart_invariants, germ, cap)
+                assert outcome(engine_invariants, germ, cap) == expected, cap
+
+    @pytest.mark.parametrize("text", NON_ISOLATED_FORMS)
+    def test_both_refuse_non_isolated(self, text):
+        germ = CurveGerm.parse(text)
+        for cap in (1, 2, 12):
+            assert outcome(engine_invariants, germ, cap) is NotIsolatedError
+            assert outcome(restart_invariants, germ, cap) is NotIsolatedError
+
+    def test_recorded_long_a_k(self):
+        assert engine_invariants("x^2+y^45", 50) == (44, 44, 45)
 
 
 class TestParsing:
@@ -113,15 +225,7 @@ class TestEulerReducedGerm:
         assert euler_reduced_germ(PERTURBED_GERM) == 1
 
     def test_random_perturbations_nonnegative(self):
-        rng = random.Random(20240229)
-        for _ in range(20):
-            p = rng.randint(3, 5)
-            q = rng.randint(p, 5)
-            i = rng.randint(1, p - 1)
-            # exponent above the Newton diagram keeps the singularity and mu
-            j = q - (q * i) // p + rng.randint(1, 2)
-            coeff = F(rng.randint(1, 5), rng.randint(1, 5))
-            germ = CurveGerm(((p, 0, F(1)), (0, q, F(1)), (i, j, coeff)))
+        for germ in seeded_perturbations():
             invariants = germ_invariants(germ)
             assert invariants.mu >= invariants.tau >= 1
 

@@ -1,6 +1,6 @@
 import json
-import warnings
 from fractions import Fraction as F
+from itertools import product
 from math import gcd
 
 import pytest
@@ -28,6 +28,7 @@ from orbeuler import (
     pair_from_dict,
     pair_kd_squared,
     pair_to_dict,
+    validate_star,
 )
 
 from fixtures import (
@@ -49,15 +50,22 @@ from fixtures import (
 weights = st.fractions(min_value=0, max_value=1, max_denominator=24)
 
 
+def coprime_residues(n):
+    return [q for q in range(n) if gcd(n, q) == 1]
+
+
 @st.composite
 def chains(draw):
     n = draw(st.integers(min_value=1, max_value=30))
-    return Chain(n, draw(st.sampled_from([q for q in range(n) if gcd(n, q) == 1])))
+    return Chain(n, draw(st.sampled_from(coprime_residues(n))))
 
+
+ordinary_points = st.builds(Ordinary, st.lists(weights, min_size=1, max_size=5).map(tuple))
+cyclic_points = st.builds(CyclicQuotient, chains(), weights, weights)
 
 local_singularities = st.one_of(
-    st.builds(Ordinary, st.lists(weights, min_size=1, max_size=5).map(tuple)),
-    st.builds(CyclicQuotient, chains(), weights, weights),
+    ordinary_points,
+    cyclic_points,
     st.builds(
         StarQuotient,
         st.integers(min_value=1, max_value=6),
@@ -70,6 +78,43 @@ local_singularities = st.one_of(
     ),
 )
 ids = st.lists(st.text(min_size=1, max_size=4), max_size=5, unique=True)
+
+
+def _is_quotient_star(b, arms):
+    try:
+        validate_star(b, arms)
+    except ValueError:
+        return False
+    return True
+
+
+# Arm orders up to 6 that some star accepts; b = 3 exceeds every sum of q/n.
+STAR_ORDERS = [
+    ns
+    for ns in product(range(1, 7), repeat=3)
+    if _is_quotient_star(3, [(n, 1 % n, 0) for n in ns])
+]
+
+
+@st.composite
+def quotient_stars(draw):
+    """Stars that :func:`validate_star` accepts: polyhedral orders and b0 > 0."""
+    arms = tuple(
+        (n, draw(st.sampled_from(coprime_residues(n))), draw(weights))
+        for n in draw(st.sampled_from(STAR_ORDERS))
+    )
+    least_b = int(sum(F(q, n) for n, q, _ in arms)) + 1
+    return StarQuotient(draw(st.integers(min_value=least_b, max_value=least_b + 3)), arms)
+
+
+certifiable_locals = st.one_of(
+    ordinary_points,
+    cyclic_points,
+    quotient_stars(),
+    st.integers(min_value=0, max_value=40).flatmap(
+        lambda mu: st.builds(ReducedGerm, st.just(mu), st.sampled_from([mu, max(mu - 1, 0)]))
+    ),
+)
 
 
 @st.composite
@@ -112,15 +157,66 @@ def pair_descriptions(draw):
         )
         for pid in draw(ids)
     ]
-    if plane:
-        surface = SurfaceData.projective_plane()
-    else:
-        surface = SurfaceData.generic(
-            draw(st.integers(min_value=-20, max_value=40)),
-            draw(st.integers(min_value=-20, max_value=40)),
-        )
     return PairDescription(
-        surface, tuple(components), tuple(points), draw(st.sampled_from([None, True, False]))
+        draw(surfaces(plane)),
+        tuple(components),
+        tuple(points),
+        draw(st.sampled_from([None, True, False])),
+    )
+
+
+def surfaces(plane):
+    if plane:
+        return st.just(SurfaceData.projective_plane())
+    pair_numbers = st.integers(min_value=-20, max_value=40)
+    return st.builds(SurfaceData.generic, pair_numbers, pair_numbers)
+
+
+@st.composite
+def certifiable_pairs(draw):
+    """Pairs :func:`check_bmy` certifies, with every point on some component.
+
+    Every germ is one the evaluator accepts, and generic pairings are
+    complete and symmetric.
+    """
+    plane = draw(st.booleans())
+    names = st.lists(st.text(min_size=1, max_size=4), min_size=1, max_size=5, unique=True)
+    # Generic mode reserves the id "K" for the pairing key K.D_i.
+    component_ids = draw(names if plane else names.filter(lambda found: "K" not in found))
+    pairing = st.integers(min_value=-40, max_value=40)
+    table = {}
+    for index, left in enumerate(component_ids):
+        for right in component_ids[index:]:
+            table[left, right] = table[right, left] = draw(pairing)
+    components = tuple(
+        ComponentData(
+            id=cid,
+            coeff=draw(weights),
+            genus=draw(st.integers(min_value=0, max_value=10)),
+            degree=draw(st.integers(min_value=1, max_value=12)) if plane else None,
+            pairings=None
+            if plane
+            else {"K": draw(pairing), **{other: table[cid, other] for other in component_ids}},
+        )
+        for cid in component_ids
+    )
+    incidences = st.lists(
+        st.tuples(st.sampled_from(component_ids), st.integers(min_value=1, max_value=4)),
+        min_size=1,
+        max_size=len(component_ids),
+        unique_by=lambda entry: entry[0],
+    ).map(tuple)
+    points = tuple(
+        SingularPointData(
+            id=pid,
+            local=draw(certifiable_locals),
+            incident=draw(incidences),
+            multiplicity=draw(st.fractions(min_value=0, max_value=12, max_denominator=24)),
+        )
+        for pid in draw(names)
+    )
+    return PairDescription(
+        draw(surfaces(plane)), components, points, draw(st.sampled_from([None, True, False]))
     )
 
 
@@ -213,24 +309,11 @@ class TestPaperFormula:
                 pair
             ), name
 
-    @given(pair_descriptions())
+    @given(certifiable_pairs())
     def test_property(self, pair):
-        with warnings.catch_warnings():
-            # Drawn points may be incident to no component, which warns.
-            warnings.simplefilter("ignore", UserWarning)
-            try:
-                e_orb, mult_rhs = paper_formula(pair)
-            except ValueError:
-                # A germ the evaluator refuses: the assembly refuses it too.
-                with pytest.raises(ValueError):
-                    euler_orbifold_global(pair)
-                return
-            assert euler_orbifold_global(pair).value == e_orb
-            try:
-                pair_kd_squared(pair)
-            except ValueError:
-                return  # incomplete generic pairings: no certificate to compare
-            report = check_bmy(pair)
+        e_orb, mult_rhs = paper_formula(pair)
+        assert euler_orbifold_global(pair).value == e_orb
+        report = check_bmy(pair)
         assert (report.global_value.value, report.multiplicities.rhs) == (e_orb, mult_rhs)
 
 
@@ -264,6 +347,29 @@ class TestKdSquared:
             one_curve(SurfaceData.generic(4, 8), "K")
         # Plane mode reads degrees, not pairings, so "K" is an ordinary id there.
         assert pair_kd_squared(one_curve(SurfaceData.projective_plane(), "K")) == 4
+
+    @pytest.mark.parametrize(
+        "pairings, key",
+        [
+            ({"K": 1.5, "A": 0}, "'K'"),
+            ({"K": 0, "A": True}, "'A'"),
+            ({"K": "1", "A": 0}, "'K'"),
+            ({"K": F(1), "A": 0}, "'K'"),
+            ({"K": 0, 1: 0}, "1"),
+            ({"K": 0, "": 0}, "''"),
+        ],
+    )
+    def test_pairings_must_be_integers_under_string_keys(self, pairings, key):
+        with pytest.raises(ValueError, match=f"component A: pairing (key )?{key}"):
+            ComponentData(id="A", coeff=F(1, 2), genus=0, pairings=pairings)
+
+    def test_unknown_pairing_key_rejected(self):
+        for surface in (SurfaceData.generic(4, 8), SurfaceData.projective_plane()):
+            component = ComponentData(
+                id="A", coeff=F(1), genus=0, degree=1, pairings={"K": -2, "A": 0, "B": 1}
+            )
+            with pytest.raises(ValueError, match="component A: pairing key 'B'"):
+                PairDescription(surface, (component,), (), effective=True)
 
     def test_asymmetric_pairing_rejected(self):
         pair = PairDescription(
