@@ -11,7 +11,6 @@ arithmetic is exact over the rationals.
 from .rationals import (
     Chain,
     ChainError,
-    Rational,
     as_rational,
     format_rational,
     hj_eval,
@@ -21,7 +20,6 @@ from .rationals import (
     rat_floor,
 )
 from .local import (
-    CoverBundleData,
     CoverDegree,
     CyclicQuotient,
     EulerValue,
@@ -34,7 +32,6 @@ from .local import (
     StarInvariants,
     StarQuotient,
     StarValidation,
-    cover_bundle_data,
     cover_degree,
     euler_cyclic,
     euler_local,
@@ -43,7 +40,6 @@ from .local import (
     euler_star,
     singularity_from_dict,
     singularity_to_dict,
-    star_invariants,
     validate_star,
 )
 from .germs import (

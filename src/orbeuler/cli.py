@@ -18,6 +18,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from decimal import MAX_EMAX, MIN_EMIN, Context
 from fractions import Fraction
 
 from .applications import (
@@ -50,7 +51,14 @@ _INVALID_INPUT = 2
 
 def _decimal(x) -> str:
     # Annotation only: core results stay exact.
-    return f"{float(Fraction(x)):.7g}"
+    x = Fraction(x)
+    try:
+        return f"{float(x):.7g}"
+    except OverflowError:
+        # Beyond float range: round to 7 digits with an unbounded exponent;
+        # normalize() drops trailing zeros, as %g does for a float.
+        context = Context(prec=7, Emax=MAX_EMAX, Emin=MIN_EMIN)
+        return f"{context.divide(x.numerator, x.denominator).normalize(context):.7g}"
 
 
 def _rat(x) -> str:
@@ -385,7 +393,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         verdict, values, tags, lines, exit_override = args.handler(args)
-    except (ValueError, KeyError, TypeError, OSError) as error:
+    except (ValueError, TypeError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)
         return _INVALID_INPUT
     if args.format == "machine":

@@ -60,14 +60,11 @@ __all__ = [
     "StarInvariants",
     "StarValidation",
     "CoverDegree",
-    "CoverBundleData",
     "euler_ordinary",
     "euler_cyclic",
-    "star_invariants",
     "validate_star",
     "euler_star",
     "cover_degree",
-    "cover_bundle_data",
     "euler_ordinary3_cover_oracle",
     "euler_local",
     "singularity_from_dict",
@@ -152,10 +149,7 @@ class CyclicQuotient:
     d2: Fraction
 
     def __post_init__(self):
-        chain = _as_chain(self.chain)
-        if chain.is_minus_one_curve:
-            raise ChainError("a (-1)-curve is not a quotient singularity germ")
-        object.__setattr__(self, "chain", chain)
+        object.__setattr__(self, "chain", _as_chain(self.chain))
         object.__setattr__(self, "d1", _weight(self.d1))
         object.__setattr__(self, "d2", _weight(self.d2))
 
@@ -168,10 +162,7 @@ class StarArm:
     d: Fraction
 
     def __post_init__(self):
-        chain = _as_chain(self.chain)
-        if chain.is_minus_one_curve:
-            raise ChainError("a (-1)-curve cannot be a star arm")
-        object.__setattr__(self, "chain", chain)
+        object.__setattr__(self, "chain", _as_chain(self.chain))
         object.__setattr__(self, "d", _weight(self.d))
 
     @property
@@ -254,25 +245,6 @@ class CoverDegree:
     triple: tuple[int, int, int]
 
 
-@dataclass(frozen=True)
-class CoverBundleData:
-    """Degree data of the rank-2 bundle on the cyclic cover of a 3-branch point.
-
-    For weights a_i = 1 - l_i/n the pulled-back logarithmic forms descend to
-    a rank-2 bundle of degree ``n - l1 - l2 - l3`` on a curve; ``sub_floor``
-    bounds the degree of a line subsheaf from below and ``s_max`` is the
-    degree of a maximal one.
-    """
-
-    n: int
-    l1: int
-    l2: int
-    l3: int
-    degree: int
-    sub_floor: int
-    s_max: Fraction
-
-
 def euler_ordinary(coeffs) -> EulerValue:
     """Value of an ordinary point with the given branch weights.
 
@@ -298,16 +270,9 @@ def euler_ordinary(coeffs) -> EulerValue:
 
 def euler_cyclic(chain, d1, d2) -> EulerValue:
     """Value ``(1 - d1)(1 - d2)/n`` of a cyclic quotient; independent of q."""
-    germ = CyclicQuotient(_as_chain(chain), d1, d2)
+    germ = CyclicQuotient(chain, d1, d2)
     value = (1 - germ.d1) * (1 - germ.d2) / germ.chain.n
     return EulerValue(value, Exactness.EXACT, True)
-
-
-def star_invariants(b, arms) -> StarInvariants:
-    star = StarQuotient(b, tuple(arms))
-    b0 = star.b - sum(Fraction(arm.q, arm.n) for arm in star.arms)
-    shares = [(1 - arm.d) / arm.n for arm in star.arms]
-    return StarInvariants(b0, sum(shares), min(shares))
 
 
 _EXCEPTIONAL_TRIPLES = ((2, 3, 3), (2, 3, 4), (2, 3, 5))
@@ -323,11 +288,11 @@ def validate_star(b, arms) -> StarValidation:
     the Euler value itself never depends on the assignment found.
     """
     star = StarQuotient(b, tuple(arms))
-    invariants = star_invariants(star.b, star.arms)
-    if invariants.b0 <= 0:
-        raise NotQuotientError(
-            f"b0 = {format_rational(invariants.b0)} <= 0: the central curve does not contract"
-        )
+    b0 = star.b - sum(Fraction(arm.q, arm.n) for arm in star.arms)
+    if b0 <= 0:
+        raise NotQuotientError(f"b0 = {format_rational(b0)} <= 0: the central curve does not contract")
+    shares = [(1 - arm.d) / arm.n for arm in star.arms]
+    invariants = StarInvariants(b0, sum(shares), min(shares))
     ns = tuple(arm.n for arm in star.arms)
     for m1 in range(1, 5 // ns[0] + 1):
         for m2 in range(1, 5 // ns[1] + 1):
@@ -373,7 +338,18 @@ def cover_degree(b0, p1: int, p2: int, p3: int) -> CoverDegree:
     return CoverDegree(s, 4 * s * s * b0, (p1, p2, p3))
 
 
-def cover_bundle_data(n: int, l1: int, l2: int, l3: int) -> CoverBundleData:
+def euler_ordinary3_cover_oracle(n: int, l1: int, l2: int, l3: int) -> Fraction:
+    """Recompute the three-branch value through the cyclic cover.
+
+    For weights a_i = 1 - l_i/n, pulling the logarithmic forms back along the
+    degree-n cover branched over the three lines yields a rank-2 bundle of
+    degree e = n - l1 - l2 - l3 on a curve.  Its line subsheaves have degree
+    at least max(-l1, -l2, -l3, e), and a maximal one has degree
+    s = max(that floor, e/2); the value is s(e - s)/n^2.  The 1/n^2
+    normalization is calibrated against the closed form on its exact branches
+    (see the test suite); this derivation is otherwise independent of the
+    piecewise case analysis and serves as an oracle for it.
+    """
     for name, value in (("n", n), ("l1", l1), ("l2", l2), ("l3", l3)):
         if not is_integer(value):
             raise ValueError(f"{name} must be an integer, got {value!r}")
@@ -383,24 +359,8 @@ def cover_bundle_data(n: int, l1: int, l2: int, l3: int) -> CoverBundleData:
         if not 1 <= l <= n - 1:
             raise ValueError(f"{name} = {l} outside the interior range 1..{n - 1}")
     e = n - l1 - l2 - l3
-    p = max(-l1, -l2, -l3, e)
-    s = max(Fraction(p), Fraction(e, 2))
-    return CoverBundleData(n, l1, l2, l3, e, p, s)
-
-
-def euler_ordinary3_cover_oracle(n: int, l1: int, l2: int, l3: int) -> Fraction:
-    """Recompute the three-branch value through the cyclic cover.
-
-    For weights a_i = 1 - l_i/n, pulling the logarithmic forms back along the
-    degree-n cover branched over the three lines yields a rank-2 bundle on a
-    curve whose maximal-subsheaf degree s gives the value s(e - s)/n^2, with
-    e the bundle degree.  The 1/n^2 normalization is calibrated against the
-    closed form on its exact branches (see the test suite); this derivation
-    is otherwise independent of the piecewise case analysis and serves as an
-    oracle for it.
-    """
-    data = cover_bundle_data(n, l1, l2, l3)
-    return data.s_max * (data.degree - data.s_max) / (n * n)
+    s = max(Fraction(max(-l1, -l2, -l3, e)), Fraction(e, 2))
+    return s * (e - s) / (n * n)
 
 
 def euler_local(s: LocalSingularity) -> EulerValue:

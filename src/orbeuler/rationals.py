@@ -10,9 +10,7 @@ quotient surface singularity:
 
     n/q = b1 - 1/(b2 - 1/(b3 - ...)),   all b_i >= 2.
 
-``Chain(1, 0)`` encodes the empty chain.  ``Chain(1, 1)`` is a reserved token
-for a single (-1)-curve, which shows up only as resolution bookkeeping; it has
-no expansion and is never produced by :func:`hj_expand`.
+``Chain(1, 0)`` encodes the empty chain.
 """
 
 from __future__ import annotations
@@ -23,7 +21,6 @@ from fractions import Fraction
 from math import gcd
 
 __all__ = [
-    "Rational",
     "ChainError",
     "Chain",
     "as_rational",
@@ -34,9 +31,6 @@ __all__ = [
     "hj_expand",
     "hj_eval",
 ]
-
-Rational = Fraction
-
 
 class ChainError(ValueError):
     """A descriptor that does not encode a valid exceptional chain."""
@@ -101,8 +95,7 @@ class Chain:
     """Type ``<n, q>`` of an exceptional chain, in lowest terms.
 
     Requires ``0 <= q < n`` and ``gcd(n, q) = 1``; ``Chain(1, 0)`` is the
-    empty chain.  The single exception is the reserved ``Chain(1, 1)`` token
-    for a (-1)-curve.
+    empty chain.
     """
 
     n: int
@@ -111,8 +104,6 @@ class Chain:
     def __post_init__(self):
         if not is_integer(self.n) or not is_integer(self.q):
             raise ChainError(f"chain entries must be integers, got ({self.n!r}, {self.q!r})")
-        if (self.n, self.q) == (1, 1):
-            return
         if self.n < 1 or not 0 <= self.q < self.n:
             raise ChainError(f"need 0 <= q < n, got ({self.n}, {self.q})")
         if gcd(self.n, self.q) != 1:
@@ -121,10 +112,6 @@ class Chain:
     @property
     def is_empty(self) -> bool:
         return (self.n, self.q) == (1, 0)
-
-    @property
-    def is_minus_one_curve(self) -> bool:
-        return (self.n, self.q) == (1, 1)
 
     @property
     def value(self) -> Fraction:
@@ -136,12 +123,7 @@ class Chain:
     def describe(self) -> str:
         if self.is_empty:
             return "empty"
-        if self.is_minus_one_curve:
-            return "minus-one-curve"
         return f"{self.n}/{self.q}"
-
-    def entries(self) -> list[int]:
-        return hj_expand(self.n, self.q)
 
 
 def hj_expand(n: int, q: int) -> list[int]:
@@ -149,11 +131,9 @@ def hj_expand(n: int, q: int) -> list[int]:
 
     The greedy recursion b1 = ceil(n/q), then (n, q) -> (q, b1*q - n), is the
     unique expansion with every entry >= 2, so no tie-breaking exists.  The
-    empty list is returned for (1, 0); the (-1)-curve token (1, 1) is refused.
+    empty list is returned for (1, 0).
     """
-    chain = Chain(n, q)
-    if chain.is_minus_one_curve:
-        raise ChainError("the (-1)-curve token has no expansion")
+    Chain(n, q)  # raises ChainError on an invalid descriptor
     entries = []
     while q > 0:
         b = -((-n) // q)

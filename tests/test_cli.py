@@ -279,6 +279,73 @@ class TestGlobal:
             assert parse_rational(values["kd_sq"]) == pair_kd_squared(pair), name
 
 
+    def test_bug_in_own_code_is_not_invalid_input(self, capsys, monkeypatch):
+        # Only malformed input maps to exit 2; a KeyError from the library
+        # itself is a bug and must surface as one.
+        def broken(pair):
+            raise KeyError("internal")
+
+        monkeypatch.setattr(orbeuler.cli, "check_bmy", broken)
+        with pytest.raises(KeyError):
+            main(["global", json.dumps(pair_to_dict(quadrilateral_pair()))])
+        assert capsys.readouterr().out == ""
+
+
+BIG = 10**400
+
+
+class TestBeyondFloatRange:
+    """Decimal annotations of values past float range must not crash."""
+
+    def huge_pair(self):
+        doc = pair_to_dict(quadric_pair())
+        doc["surface"]["e_top"] = BIG
+        return json.dumps(doc)
+
+    def test_global_machine(self, capsys):
+        code, payload, _ = run_machine(capsys, "global", self.huge_pair())
+        assert code == 0
+        assert payload["verdict"] == "proved"
+        assert payload["values"]["e_orb"] == str(BIG + 16)
+        assert payload["values"]["bmy_lhs"] == str(3 * BIG + 48)
+        assert payload["values"]["bmy_rhs"] == "8"
+
+    def test_global_text(self, capsys):
+        code, out, _ = run(capsys, "global", self.huge_pair())
+        assert code == 0
+        assert out.startswith(f"e_orb={BIG + 16} (~1e+400) kind=exact lc=lc\n")
+        assert "verdict=proved" in out
+
+    def test_bound_machine(self, capsys):
+        code, payload, _ = run_machine(
+            capsys, "bound", "--c1-sq", str(BIG), "--c2", "3", "--genus", "2"
+        )
+        assert code == 0
+        expected = F((9 - BIG) * (BIG + 3) + 18, BIG - 6)
+        assert payload["values"]["bound"] == format_rational(expected)
+        assert payload["values"]["c1_sq"] == str(BIG)
+
+    def test_bound_text(self, capsys):
+        code, out, _ = run(capsys, "bound", "--c1-sq", str(BIG), "--c2", "3", "--genus", "2")
+        assert code == 0
+        expected = F((9 - BIG) * (BIG + 3) + 18, BIG - 6)
+        assert out == f"K.C <= {format_rational(expected)} (~-1e+400)\n"
+
+    @pytest.mark.parametrize(
+        "x, text",
+        [
+            (F(29, 2), "14.5"),
+            (F(1, 3), "0.3333333"),
+            (F(10**300, 7), "1.428571e+299"),
+            (F(-29 * BIG, 2), "-1.45e+401"),
+            (F(BIG, 3), "3.333333e+399"),
+        ],
+    )
+    def test_annotation(self, x, text):
+        # Past float range the annotation keeps the same 7-digit %g style.
+        assert orbeuler.cli._decimal(x) == text
+
+
 class TestArrangement:
     def test_fermat_equality(self, capsys):
         code, out, _ = run(capsys, "arrangement", "--k", "6", "--t", "2:3,3:4")

@@ -24,7 +24,6 @@ from orbeuler import (
     euler_star,
     singularity_from_dict,
     singularity_to_dict,
-    star_invariants,
     validate_star,
 )
 
@@ -210,7 +209,7 @@ class TestStars:
         boundary = euler_star(1, cusp(F(5, 6)).arms)
         assert (boundary.value, boundary.lc) == (F(0), True)
         # alpha = 2 beta + 1: both closed forms give beta^2 / b0.
-        invariants = star_invariants(1, cusp(F(1, 6)).arms)
+        invariants = validate_star(1, cusp(F(1, 6)).arms).invariants
         assert invariants.alpha == 2 * invariants.beta + 1
         value = euler_star(1, cusp(F(1, 6)).arms).value
         assert value == (invariants.alpha - 1) ** 2 / (4 * invariants.b0)
@@ -220,6 +219,19 @@ class TestStars:
     def test_weight_one_arm_kills_value(self, d):
         value = euler_star(2, star(2, ((2, 1, 1), (3, 2, 0), (5, 4, d))).arms)
         assert value.value == 0
+
+    def test_evaluation_builds_the_star_once(self, monkeypatch):
+        built = []
+        post_init = StarQuotient.__post_init__
+
+        def counted(self):
+            built.append(self)
+            post_init(self)
+
+        e8 = star(2, ((2, 1, 0), (3, 2, 0), (5, 4, 0)))
+        monkeypatch.setattr(StarQuotient, "__post_init__", counted)
+        assert euler_local(e8).value == F(1, 120)
+        assert len(built) == 1
 
 
 class TestCoverDegree:
@@ -247,6 +259,25 @@ class TestCoverOracle:
             euler_ordinary3_cover_oracle(4, 0, 1, 1)
         with pytest.raises(ValueError):
             euler_ordinary3_cover_oracle(4, 1, 4, 1)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (F(4), 1, 1, 1),
+            (4, 1.0, 1, 1),
+            (4, 1, True, 1),
+            (4, 1, 1, "1"),
+            (1, 1, 1, 1),
+            (0, 1, 1, 1),
+            (-3, 1, 1, 1),
+            (5, 0, 2, 2),
+            (5, 2, 5, 2),
+            (5, 2, 2, -1),
+        ],
+    )
+    def test_bad_arguments_rejected(self, args):
+        with pytest.raises(ValueError):
+            euler_ordinary3_cover_oracle(*args)
 
     def test_matches_closed_form_small(self):
         for n in range(2, 6):

@@ -63,15 +63,14 @@ class TestCeilFloor:
 
 
 class TestChain:
-    def test_empty_and_minus_one(self):
+    def test_empty(self):
         assert Chain(1, 0).is_empty
         assert Chain(1, 0).describe() == "empty"
-        assert Chain(1, 1).is_minus_one_curve
         with pytest.raises(ChainError):
             Chain(1, 0).value
 
     @pytest.mark.parametrize(
-        "n,q", [(2, 2), (4, 2), (3, -1), (0, 0), (3, 5), (True, 0), (2, True)]
+        "n,q", [(1, 1), (2, 2), (4, 2), (3, -1), (0, 0), (3, 5), (True, 0), (2, True)]
     )
     def test_invalid_descriptors(self, n, q):
         with pytest.raises(ChainError):
