@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -53,12 +54,17 @@ def _decimal(x) -> str:
     # Annotation only: core results stay exact.
     x = Fraction(x)
     try:
-        return f"{float(x):.7g}"
+        approx = float(x)
     except OverflowError:
-        # Beyond float range: round to 7 digits with an unbounded exponent;
-        # normalize() drops trailing zeros, as %g does for a float.
+        approx = math.inf
+    if x and not sys.float_info.min <= abs(approx) < math.inf:
+        # Beyond float range, or below its normal range, where float()
+        # underflows to 0 or keeps fewer than 7 digits: round to 7 digits with
+        # an unbounded exponent; normalize() drops trailing zeros, as %g does
+        # for a float.
         context = Context(prec=7, Emax=MAX_EMAX, Emin=MIN_EMIN)
         return f"{context.divide(x.numerator, x.denominator).normalize(context):.7g}"
+    return f"{approx:.7g}"
 
 
 def _rat(x) -> str:

@@ -22,10 +22,12 @@ Each quantity has one source: local values and lc flags come only from
 :func:`~orbeuler.local.euler_local`, e_orb only from
 :func:`euler_orbifold_global` (whose result :func:`check_bmy` reports as
 ``global_value``), and ``(K_X + D)^2`` only from :func:`pair_kd_squared`.
-:func:`check_bmy` evaluates each point once and reports both forms, the
-multiplicity form as ``multiplicities`` with the same precondition notes;
-:func:`check_bmy_multiplicities` reads it from there, so a germ the
-evaluator refuses raises in either.
+:func:`check_bmy` evaluates once per distinct germ and reports both forms,
+the multiplicity form as ``multiplicities`` with the same precondition
+notes; :func:`check_bmy_multiplicities` reads it from there, so a germ the
+evaluator refuses raises in either.  Repeated germs and multiplicities
+enter as ``count * term``, so the work follows the number of distinct germs,
+not the number of points.
 
 The supplied point list is trusted to be all of Sing(X, D): omitting a
 singular point invalidates a certificate.  Two surface modes exist: the
@@ -38,6 +40,7 @@ from __future__ import annotations
 
 import sys
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -296,10 +299,10 @@ def euler_orbifold_global(pair: PairDescription) -> GlobalEuler:
 
     The kind is an upper bound as soon as one local value is (all local
     terms enter with positive sign), and the lc flag records whether every
-    supplied point is log canonical.
+    supplied point is log canonical.  Each distinct germ is evaluated once,
+    when a point first carries it, and enters as ``count * (e_loc - 1)``.
     """
-    total = _base(pair)
-    exact = lc = True
+    germs = {}  # distinct germ -> [its local value, number of points carrying it]
     for point in pair.points:
         if not point.incident:
             warnings.warn(
@@ -308,10 +311,15 @@ def euler_orbifold_global(pair: PairDescription) -> GlobalEuler:
                 "a surface singularity off the boundary)",
                 stacklevel=_outside_stacklevel(),
             )
-        value = euler_local(point.local)
-        total += value.value - 1
-        exact = exact and value.is_exact
-        lc = lc and value.lc
+        seen = germs.get(point.local)
+        if seen is None:
+            seen = germs[point.local] = [euler_local(point.local), 0]
+        seen[1] += 1
+    total = _base(pair)
+    for value, count in germs.values():
+        total += count * (value.value - 1)
+    exact = all(value.is_exact for value, _ in germs.values())
+    lc = all(value.lc for value, _ in germs.values())
     return GlobalEuler(total, Exactness.EXACT if exact else Exactness.UPPER_BOUND, lc)
 
 
@@ -379,6 +387,7 @@ def check_bmy(pair: PairDescription) -> BmyReport:
     sum (r_P - m_P + m_P^2/4)), where r_P is the weighted branch count
     sum a_i r_{P,i} and m_P the supplied weighted multiplicity; as
     sum_P r_P = sum a_i B_i, it shares its base with the e_orb assembly.
+    Both forms are summed once per distinct germ and once per distinct m_P.
     """
     global_value = euler_orbifold_global(pair)
     lhs = 3 * global_value.value
@@ -396,7 +405,8 @@ def check_bmy(pair: PairDescription) -> BmyReport:
     elif not pair.effective:
         notes.append("effectivity of a multiple of K+D was not asserted")
 
-    m_terms = sum((p.multiplicity**2 / 4 - p.multiplicity for p in pair.points), Fraction(0))
+    m_counts = Counter(point.multiplicity for point in pair.points)
+    m_terms = sum((count * (m**2 / 4 - m) for m, count in m_counts.items()), Fraction(0))
     mult_rhs = 3 * (_base(pair) + m_terms)
     if notes:
         mult_verdict = Verdict.PRECONDITION_FAILED
@@ -506,6 +516,13 @@ def pair_from_dict(doc) -> PairDescription:
             )
         )
 
+    # Each distinct local document and m_P literal is parsed once.  The keys
+    # are reprs, which tell JSON values apart by type as well as value (1,
+    # True, "1" and 1.0 all differ), so two entries share a parse only when
+    # they are the same document.  An m_P is cached only once a point has
+    # accepted it, so a bad one still fails in the point's own checks.
+    germs = {}
+    multiplicities = {}
     points = []
     for entry in doc.get("points", []):
         if not isinstance(entry, dict):
@@ -513,14 +530,19 @@ def pair_from_dict(doc) -> PairDescription:
         for key in ("id", "local", "incident", "m_P"):
             if key not in entry:
                 raise ValueError(f"point entry missing field {key!r}")
-        points.append(
-            SingularPointData(
-                id=entry["id"],
-                local=singularity_from_dict(entry["local"]),
-                incident=tuple(tuple(pair) for pair in entry["incident"]),
-                multiplicity=entry["m_P"],
-            )
+        local_key = repr(entry["local"])
+        local = germs.get(local_key)
+        if local is None:
+            local = germs[local_key] = singularity_from_dict(entry["local"])
+        m_key = repr(entry["m_P"])
+        point = SingularPointData(
+            id=entry["id"],
+            local=local,
+            incident=tuple(tuple(pair) for pair in entry["incident"]),
+            multiplicity=multiplicities.get(m_key, entry["m_P"]),
         )
+        multiplicities.setdefault(m_key, point.multiplicity)
+        points.append(point)
 
     return PairDescription(
         surface=surface,

@@ -263,10 +263,43 @@ class TestGlobal:
             orbeuler.pairs, "euler_local", counted("local", orbeuler.pairs.euler_local)
         )
         pair = quadrilateral_pair()
+        distinct = len({point.local for point in pair.points})
+        assert (distinct, len(pair.points)) == (2, 7)
         code, _, _ = run_machine(capsys, "global", json.dumps(pair_to_dict(pair)))
         assert code == 0
-        # one assembly, one (K+D)^2, and each point evaluated once for both forms
-        assert calls == {"global": 1, "kd_sq": 1, "local": len(pair.points)}
+        # one assembly, one (K+D)^2, and each distinct germ evaluated once for both forms
+        assert calls == {"global": 1, "kd_sq": 1, "local": distinct}
+
+    @pytest.mark.parametrize(
+        "field, shared, last",
+        [
+            (
+                "local",
+                {"type": "ordinary", "coeffs": ["1/2", "1/2"]},
+                {"type": "ordinary", "coeffs": ["1/2", 0.5]},
+            ),
+            ("local", {"type": "ordinary", "coeffs": ["1/2"]}, {"type": "ordinary", "coeffs": "1/2"}),
+            (
+                "local",
+                {"type": "germ_mu_tau", "mu": 1, "tau": 0},
+                {"type": "germ_mu_tau", "mu": True, "tau": 0},
+            ),
+            ("m_P", "1", 1.0),
+            ("m_P", 1, True),
+        ],
+    )
+    def test_parse_shares_only_documents_of_equal_json_type(self, capsys, field, shared, last):
+        # Every point carries the same document but the last, which differs
+        # from it only in JSON type and must still be refused as input.
+        doc = pair_to_dict(quadrilateral_pair(F(1, 2)))
+        for point in doc["points"]:
+            point[field] = shared
+        code, _, _ = run(capsys, "global", json.dumps(doc))
+        assert code in (0, 1)
+        doc["points"][-1][field] = last
+        code, out, err = run(capsys, "global", json.dumps(doc))
+        assert (code, out) == (2, "")
+        assert err
 
     def test_values_match_direct_calls(self, capsys):
         for name, pair in lc_effective_corpus():
@@ -339,10 +372,16 @@ class TestBeyondFloatRange:
             (F(10**300, 7), "1.428571e+299"),
             (F(-29 * BIG, 2), "-1.45e+401"),
             (F(BIG, 3), "3.333333e+399"),
+            (F(1, BIG), "1e-400"),
+            (F(-3, BIG), "-3e-400"),
+            # subnormal: float() keeps only about 4 digits here
+            (F(1234567, 10**326), "1.234567e-320"),
+            (F(0), "0"),
         ],
     )
     def test_annotation(self, x, text):
-        # Past float range the annotation keeps the same 7-digit %g style.
+        # Past float range, at either end, the annotation keeps the same
+        # 7-digit %g style.
         assert orbeuler.cli._decimal(x) == text
 
 

@@ -1,4 +1,6 @@
 import json
+import warnings
+from dataclasses import replace
 from fractions import Fraction as F
 from itertools import product
 from math import gcd
@@ -24,6 +26,7 @@ from orbeuler import (
     euler_local,
     euler_orbifold_global,
     euler_top_curve,
+    format_rational,
     max_canonical_degree_extremal,
     pair_from_dict,
     pair_kd_squared,
@@ -242,6 +245,56 @@ def paper_formula(pair):
     return e_orb, 3 * mult
 
 
+@st.composite
+def regrouped_pairs(draw):
+    """A certifiable pair with its points shuffled and some repeated under fresh ids."""
+    pair = draw(certifiable_pairs())
+    points = list(pair.points)
+    repeats = draw(st.lists(st.sampled_from(points), max_size=8))
+    # Drawn ids have at most 4 characters, so these cannot collide with them.
+    points += [replace(point, id=f"{point.id}/copy{i}") for i, point in enumerate(repeats)]
+    return replace(pair, points=tuple(draw(st.permutations(points))))
+
+
+def per_point_bmy(pair):
+    """What :func:`check_bmy` must report, with every sum taken point by point.
+
+    Returns e_orb, the multiplicity right side, both verdicts and both note
+    lists, from the literal sums of :func:`paper_formula` and the rules the
+    :func:`check_bmy` docstring states.
+    """
+    e_orb, mult_rhs = paper_formula(pair)
+    values = [euler_local(point.local) for point in pair.points]
+    rhs = pair_kd_squared(pair)
+    notes = []
+    if not all(value.lc for value in values):
+        notes.append("the pair is not log canonical at some supplied point")
+    if pair.surface.plane:
+        degree = sum((c.coeff * c.degree for c in pair.components), F(0))
+        if degree < 3:
+            notes.append(
+                f"K+D has total degree {format_rational(degree - 3)} < 0 on the plane: "
+                "no multiple is effective"
+            )
+    elif not pair.effective:
+        notes.append("effectivity of a multiple of K+D was not asserted")
+    mult_notes = list(notes)
+    exact = all(value.is_exact for value in values)
+    if notes:
+        verdict = mult_verdict = Verdict.PRECONDITION_FAILED
+    else:
+        mult_verdict = Verdict.PROVED if rhs <= mult_rhs else Verdict.VIOLATION
+        if 3 * e_orb < rhs:
+            verdict = Verdict.VIOLATION
+        elif not exact:
+            verdict = Verdict.CONSISTENT_UPPER_BOUND
+        else:
+            verdict = Verdict.PROVED
+            if 3 * e_orb == rhs:
+                notes.append("equality: K+D is nef (consequence of the theorem, not verified)")
+    return e_orb, mult_rhs, verdict, mult_verdict, notes, mult_notes
+
+
 class TestEulerTopCurve:
     def test_examples(self):
         assert euler_top_curve(0, []) == 2
@@ -315,6 +368,48 @@ class TestPaperFormula:
         assert euler_orbifold_global(pair).value == e_orb
         report = check_bmy(pair)
         assert (report.global_value.value, report.multiplicities.rhs) == (e_orb, mult_rhs)
+
+
+class TestGrouping:
+    """Repeated germs and multiplicities are summed once per distinct value."""
+
+    @given(regrouped_pairs())
+    def test_matches_per_point_sums(self, pair):
+        report = check_bmy(pair)
+        assert (
+            report.global_value.value,
+            report.multiplicities.rhs,
+            report.verdict,
+            report.multiplicities.verdict,
+            list(report.notes),
+            list(report.multiplicities.notes),
+        ) == per_point_bmy(pair)
+
+    def off_boundary_points(self, k):
+        """k points off every component, all carrying one germ."""
+        point = quotient_point_pair().points[0]
+        return tuple(replace(point, id=f"Q{i}") for i in range(k))
+
+    def test_one_warning_per_point(self):
+        pair = replace(quotient_point_pair(), points=self.off_boundary_points(3))
+        with pytest.warns(UserWarning, match="incident to no component") as record:
+            value = euler_orbifold_global(pair)
+        assert value.value == 3 + 3 * (F(1, 2) - 1)
+        assert [w.filename for w in record] == [__file__] * 3
+        assert [str(w.message).split()[1] for w in record] == ["Q0", "Q1", "Q2"]
+
+    def test_refused_germ_raises_in_point_order(self):
+        # The warnings of the points before the refused germ are issued, and
+        # none of those after it.
+        refused = refused_germ_pair()
+        off = self.off_boundary_points(4)
+        pair = replace(refused, points=off[:2] + refused.points + off[2:])
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match="mu - tau = 2 > 1"):
+                check_bmy(pair)
+        assert [str(w.message).split()[1] for w in record] == ["Q0", "Q1"]
+        assert [w.filename for w in record] == [__file__] * 2
 
 
 class TestKdSquared:
@@ -515,6 +610,15 @@ class TestDocuments:
     @given(pair_descriptions())
     def test_round_trip_property(self, pair):
         assert pair_from_dict(json.loads(json.dumps(pair_to_dict(pair)))) == pair
+
+    def test_shared_local_documents(self):
+        # Points whose local documents are equal share one parsed germ, and
+        # the pair still round-trips unchanged.
+        doc = json.loads(json.dumps(pair_to_dict(quadrilateral_pair())))
+        pair = pair_from_dict(doc)
+        assert len({id(point.local) for point in pair.points}) == 2
+        assert len({id(point.multiplicity) for point in pair.points}) == 2
+        assert pair_to_dict(pair) == doc
 
     def test_cuspidal_cubic_documents(self):
         pair = cuspidal_cubic_with_line_pair()
