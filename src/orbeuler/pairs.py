@@ -19,7 +19,7 @@ K_X + D nef (reported as a note, never verified here).  A second form bounds
 ``(K_X + D)^2`` by weighted branch counts and multiplicities alone.
 
 Each quantity has one source: local values and lc flags come only from
-:func:`~orbeuler.local.euler_local`, e_orb only from
+:func:`~orbeuler.local.euler_local`, e_orb and its base only from
 :func:`euler_orbifold_global` (whose result :func:`check_bmy` reports as
 ``global_value``), and ``(K_X + D)^2`` only from :func:`pair_kd_squared`.
 :func:`check_bmy` evaluates once per distinct germ and reports both forms,
@@ -226,40 +226,27 @@ class PairDescription:
                     raise ValueError(f"component {component.id}: plane mode needs a degree")
         elif "K" in known:
             raise ValueError("component id 'K' is reserved in generic mode for K.D_i")
+        if self.effective is not None and not isinstance(self.effective, bool):
+            raise ValueError(f"effective must be true, false or absent, got {self.effective!r}")
         object.__setattr__(self, "components", components)
         object.__setattr__(self, "points", points)
 
 
 @dataclass(frozen=True)
 class GlobalEuler:
-    """A global value; unlike local values it may well exceed 1."""
+    """A global value; unlike local values it may well exceed 1.
+
+    ``base`` is its part without local terms, e_top(X) + sum a_i (2 g_i - 2 + B_i).
+    """
 
     value: Fraction
     exactness: Exactness
     lc: bool
+    base: Fraction
 
     @property
     def is_exact(self) -> bool:
         return self.exactness is Exactness.EXACT
-
-
-@dataclass(frozen=True)
-class BmyReport:
-    """The main certificate: lhs = 3 e_orb, rhs = (K+D)^2.
-
-    ``global_value`` is the assembled e_orb the left side came from; its
-    exactness kind and lc flag are the certificate's.  ``multiplicities``
-    is the multiplicity form of the same pair.
-    """
-
-    lhs: Fraction
-    global_value: GlobalEuler
-    rhs: Fraction
-    verdict: Verdict
-    equality: bool
-    slack: Fraction
-    multiplicities: IneqReport
-    notes: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -270,6 +257,19 @@ class IneqReport:
     verdict: Verdict
     equality: bool
     notes: tuple = ()
+
+
+@dataclass(frozen=True, kw_only=True)
+class BmyReport(IneqReport):
+    """The main certificate: lhs = 3 e_orb, rhs = (K+D)^2.
+
+    ``global_value`` is the assembled e_orb the left side came from; its
+    exactness kind and lc flag are the certificate's.  ``multiplicities``
+    is the multiplicity form of the same pair.
+    """
+
+    global_value: GlobalEuler
+    multiplicities: IneqReport
 
 
 def euler_top_curve(genus: int, branch_counts) -> int:
@@ -303,6 +303,7 @@ def euler_orbifold_global(pair: PairDescription) -> GlobalEuler:
     when a point first carries it, and enters as ``count * (e_loc - 1)``.
     """
     germs = {}  # distinct germ -> [its local value, number of points carrying it]
+    branches = {component.id: 0 for component in pair.components}
     for point in pair.points:
         if not point.incident:
             warnings.warn(
@@ -315,23 +316,15 @@ def euler_orbifold_global(pair: PairDescription) -> GlobalEuler:
         if seen is None:
             seen = germs[point.local] = [euler_local(point.local), 0]
         seen[1] += 1
-    total = _base(pair)
-    for value, count in germs.values():
-        total += count * (value.value - 1)
-    exact = all(value.is_exact for value, _ in germs.values())
-    lc = all(value.lc for value, _ in germs.values())
-    return GlobalEuler(total, Exactness.EXACT if exact else Exactness.UPPER_BOUND, lc)
-
-
-def _base(pair: PairDescription) -> Fraction:
-    """e_top(X) + sum a_i (2 g_i - 2 + B_i), with B_i the branches on D_i."""
-    branches = {component.id: 0 for component in pair.components}
-    for point in pair.points:
         for component_id, count in point.incident:
             branches[component_id] += count
-    return pair.surface.e_top + sum(
+    base = pair.surface.e_top + sum(
         (c.coeff * (2 * c.genus - 2 + branches[c.id]) for c in pair.components), Fraction(0)
     )
+    total = base + sum((count * (value.value - 1) for value, count in germs.values()), Fraction(0))
+    exact = all(value.is_exact for value, _ in germs.values())
+    lc = all(value.lc for value, _ in germs.values())
+    return GlobalEuler(total, Exactness.EXACT if exact else Exactness.UPPER_BOUND, lc, base)
 
 
 def pair_kd_squared(pair: PairDescription) -> Fraction:
@@ -386,8 +379,9 @@ def check_bmy(pair: PairDescription) -> BmyReport:
     precondition notes, is (K+D)^2 <= 3 (c2 + sum a_i (2g_i - 2) +
     sum (r_P - m_P + m_P^2/4)), where r_P is the weighted branch count
     sum a_i r_{P,i} and m_P the supplied weighted multiplicity; as
-    sum_P r_P = sum a_i B_i, it shares its base with the e_orb assembly.
-    Both forms are summed once per distinct germ and once per distinct m_P.
+    sum_P r_P = sum a_i B_i, its base is the assembly's ``global_value.base``.
+    Both forms are summed once per distinct germ and once per distinct m_P,
+    and judged by one rule, the multiplicity form as exact.
     """
     global_value = euler_orbifold_global(pair)
     lhs = 3 * global_value.value
@@ -407,41 +401,39 @@ def check_bmy(pair: PairDescription) -> BmyReport:
 
     m_counts = Counter(point.multiplicity for point in pair.points)
     m_terms = sum((count * (m**2 / 4 - m) for m, count in m_counts.items()), Fraction(0))
-    mult_rhs = 3 * (_base(pair) + m_terms)
-    if notes:
-        mult_verdict = Verdict.PRECONDITION_FAILED
-    elif rhs <= mult_rhs:
-        mult_verdict = Verdict.PROVED
-    else:
-        mult_verdict = Verdict.VIOLATION
+    mult_rhs = 3 * (global_value.base + m_terms)
+    mult_verdict, mult_equality = _compare(rhs, mult_rhs, exact=True, notes=notes)
     multiplicities = IneqReport(
         lhs=rhs,
         rhs=mult_rhs,
         slack=mult_rhs - rhs,
         verdict=mult_verdict,
-        equality=rhs == mult_rhs,
+        equality=mult_equality,
         notes=tuple(notes),
     )
-
-    equality = global_value.is_exact and lhs == rhs
-    if notes:
-        verdict = Verdict.PRECONDITION_FAILED
-    elif lhs >= rhs:
-        verdict = Verdict.PROVED if global_value.is_exact else Verdict.CONSISTENT_UPPER_BOUND
-    else:
-        verdict = Verdict.VIOLATION
+    verdict, equality = _compare(rhs, lhs, global_value.is_exact, notes)
     if verdict is Verdict.PROVED and equality:
         notes.append("equality: K+D is nef (consequence of the theorem, not verified)")
     return BmyReport(
         lhs=lhs,
-        global_value=global_value,
         rhs=rhs,
+        slack=lhs - rhs,
         verdict=verdict,
         equality=equality,
-        slack=lhs - rhs,
-        multiplicities=multiplicities,
         notes=tuple(notes),
+        global_value=global_value,
+        multiplicities=multiplicities,
     )
+
+
+def _compare(small: Fraction, big: Fraction, exact: bool, notes) -> tuple:
+    """Verdict and equality flag of ``small <= big``; ``big`` is an upper bound unless exact."""
+    equality = exact and small == big
+    if notes:
+        return Verdict.PRECONDITION_FAILED, equality
+    if small > big:
+        return Verdict.VIOLATION, equality
+    return (Verdict.PROVED if exact else Verdict.CONSISTENT_UPPER_BOUND), equality
 
 
 def check_bmy_multiplicities(pair: PairDescription) -> IneqReport:

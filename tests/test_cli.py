@@ -1,3 +1,4 @@
+import io
 import json
 import math
 from fractions import Fraction as F
@@ -7,6 +8,9 @@ import pytest
 import orbeuler.cli
 import orbeuler.pairs
 from orbeuler import (
+    ComponentData,
+    PairDescription,
+    SurfaceData,
     euler_orbifold_global,
     format_rational,
     pair_kd_squared,
@@ -53,6 +57,9 @@ def assert_rationals_reparse(node):
             return
         assert parse_rational(format_rational(parsed)) == parsed
 
+
+# Marks a document field left out.
+ABSENT = object()
 
 # A star whose first arm lacks its weight.
 SHORT_ARM_STAR = {"type": "star", "b": 1, "arms": [[2, 1], [3, 1, 0], [1, 0, "1/2"]]}
@@ -312,6 +319,40 @@ class TestGlobal:
             assert parse_rational(values["kd_sq"]) == pair_kd_squared(pair), name
 
 
+    @pytest.mark.parametrize(
+        "effective, outcome",
+        [
+            ("false", None),
+            ("no", None),
+            (1, None),
+            (0, None),
+            ([0], None),
+            (True, (0, "proved")),
+            (False, (1, "precondition-failed")),
+            (ABSENT, (1, "precondition-failed")),
+        ],
+    )
+    def test_effective_must_be_a_boolean(self, capsys, effective, outcome):
+        # outcome None: refused as input; else the exit code and verdict.
+        extra = {} if effective is ABSENT else {"effective": effective}
+        component = ComponentData(id="A", coeff=F(1, 2), genus=0, pairings={"K": -2, "A": 0})
+        parts = (SurfaceData.generic(4, 8), (component,), ())
+        doc = {
+            "surface": {"mode": "generic", "e_top": 4, "c1_sq": 8},
+            "components": [{"id": "A", "a": "1/2", "genus": 0, "pairings": {"K": -2, "A": 0}}],
+            "points": [],
+            **extra,
+        }
+        code, out, err = run(capsys, "--format", "machine", "global", json.dumps(doc))
+        if outcome is None:
+            with pytest.raises(ValueError, match="effective must be true, false or absent"):
+                PairDescription(*parts, **extra)
+            assert (code, out) == (2, "")
+            assert err.startswith("error: effective must be")
+        else:
+            assert PairDescription(*parts, **extra).effective == extra.get("effective")
+            assert (code, json.loads(out)["verdict"]) == outcome
+
     def test_bug_in_own_code_is_not_invalid_input(self, capsys, monkeypatch):
         # Only malformed input maps to exit 2; a KeyError from the library
         # itself is a bug and must surface as one.
@@ -407,6 +448,11 @@ class TestArrangement:
         assert code == 0
         assert payload["values"]["incidence_sum"] == "12"
 
+    def test_document_from_stdin(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO('{"k": 4, "t": {"2": 6}}\n'))
+        code, payload, _ = run_machine(capsys, "arrangement", "-")
+        assert (code, payload["verdict"]) == (0, "holds")
+
     def test_t_not_an_object_is_exit_2(self, capsys):
         code, out, err = run(capsys, "arrangement", '{"k": 4, "t": [1]}')
         assert (code, out) == (2, "")
@@ -484,6 +530,38 @@ class TestBoundAndCheck:
         code, payload, _ = run_machine(capsys, "check", doc)
         assert code == 1
         assert payload["verdict"] == "violation"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("local", "--jobs", "0", "--ordinary", "1/2"), "--jobs must be >= 1"),
+        (("local", "--ordinary", "1/2", "--cyclic", "2,1,0,0"), "several inline flags"),
+        (("local", "--star", "1;2,1,0;3,1,0"), "--star needs"),
+        (("local",), "no input"),
+        (("arrangement", '{"k": 4}'), "needs 'k' and 't'"),
+        (("arrangement", "--k", "4"), "give --k and --t"),
+        (("arrangement", '{"k": 4, "t": {"2": 6}}', "--k", "4"), "both a document and inline"),
+        (("cusps",), "give --degree and --alpha"),
+        (
+            ("check", '{"c1_sq": 9, "alpha": "1/2", "k_dot_c": -18, "c_sq": 36, "points": []}'),
+            "missing field 'c2'",
+        ),
+        (
+            (
+                "check",
+                '{"c1_sq": 9, "c2": 3, "alpha": "1/2", "k_dot_c": -18, "c_sq": 36, '
+                '"points": [{"e_orb": "1/6"}]}',
+            ),
+            "missing 'mu' or 'e_orb'",
+        ),
+    ],
+)
+def test_invalid_input_is_exit_2(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
 
 
 def test_verdict_exit_map_is_total():

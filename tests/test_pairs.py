@@ -354,6 +354,14 @@ class TestGlobalAssembly:
             assert record[0].filename == __file__, checker.__name__
 
 
+def paper_base(pair):
+    """e_orb without its local terms: e_orb - sum_P (e_P - 1), point by point."""
+    e_orb, _ = paper_formula(pair)
+    for point in pair.points:
+        e_orb -= euler_local(point.local).value - 1
+    return e_orb
+
+
 class TestPaperFormula:
     def test_corpora(self):
         for name, pair in lc_effective_corpus() + all_ordinary_corpus():
@@ -361,6 +369,7 @@ class TestPaperFormula:
             assert (report.global_value.value, report.multiplicities.rhs) == paper_formula(
                 pair
             ), name
+            assert report.global_value.base == paper_base(pair), name
 
     @given(certifiable_pairs())
     def test_property(self, pair):
@@ -368,6 +377,7 @@ class TestPaperFormula:
         assert euler_orbifold_global(pair).value == e_orb
         report = check_bmy(pair)
         assert (report.global_value.value, report.multiplicities.rhs) == (e_orb, mult_rhs)
+        assert report.global_value.base == paper_base(pair)
 
 
 class TestGrouping:
