@@ -27,7 +27,6 @@ from fractions import Fraction
 from math import isqrt
 from typing import Mapping
 
-from .local import StarArm, StarQuotient
 from .rationals import Chain, as_rational, format_rational, is_integer, rat_ceil, rat_floor
 
 __all__ = [
@@ -155,6 +154,10 @@ def check_arrangement(k, t=None) -> ArrangementReport:
 
 def cusp_star(alpha) -> StarQuotient:
     """The star-shaped resolution of an ordinary cusp x^2 = y^3 with weight alpha."""
+    # The only use of local here; imported on call so that the other
+    # applications load without it.
+    from .local import StarArm, StarQuotient
+
     alpha = as_rational(alpha)
     return StarQuotient(
         1,

@@ -18,21 +18,12 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from decimal import MAX_EMAX, MIN_EMIN, Context
 from fractions import Fraction
 
-from .applications import (
-    ArrangementData,
-    canonical_degree_bound,
-    check_arrangement,
-    check_singularity_budget,
-    cusp_count_bound,
-    cusp_ratio_optimize,
-)
-from .germs import DEFAULT_CAP, CurveGerm, germ_from_dict, germ_invariants, lct_obstruction
-from .local import euler_local, singularity_from_dict
-from .pairs import check_bmy, pair_from_dict
+# Every path formats rationals; the other modules are imported by the
+# handlers and workers that use them, so that a process loads only what its
+# subcommand runs.
 from .rationals import as_rational, format_rational
 
 _EXIT_BY_VERDICT = {
@@ -82,23 +73,35 @@ def _load_document(source: str):
 
 
 def _parallel_map(function, items, jobs: int):
+    # function maps a list of items to the list of their results, so that a
+    # worker's set-up, its imports included, is paid once per chunk.
     if jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {jobs}")
     if jobs == 1 or len(items) <= 1:
-        return [function(item) for item in items]
+        return function(items)
+    # multiprocessing is slow to import, and only a real pool needs it.
+    from concurrent.futures import ProcessPoolExecutor
+
     # About 64 chunks per worker amortise the round trip of cheap items.
+    size = max(1, len(items) // (64 * jobs))
+    chunks = [items[start : start + size] for start in range(0, len(items), size)]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(function, items, chunksize=max(1, len(items) // (64 * jobs))))
+        return [result for chunk in pool.map(function, chunks) for result in chunk]
 
 
-def _eval_local_doc(doc):
-    return euler_local(singularity_from_dict(doc))
+def _eval_local_docs(docs):
+    from .local import euler_local, singularity_from_dict
+
+    return [euler_local(singularity_from_dict(doc)) for doc in docs]
 
 
-def _eval_germ_doc(payload):
-    doc, cap = payload
-    germ = CurveGerm.parse(doc) if isinstance(doc, str) else germ_from_dict(doc)
-    return germ_invariants(germ, cap)
+def _eval_germ_docs(payloads):
+    from .germs import CurveGerm, germ_from_dict, germ_invariants
+
+    return [
+        germ_invariants(CurveGerm.parse(doc) if isinstance(doc, str) else germ_from_dict(doc), cap)
+        for doc, cap in payloads
+    ]
 
 
 # --- subcommand handlers ------------------------------------------------
@@ -148,7 +151,7 @@ _LOCAL_TAGS = {
 
 def _cmd_local(args):
     docs = _local_inputs(args)
-    results = _parallel_map(_eval_local_doc, docs, args.jobs)
+    results = _parallel_map(_eval_local_docs, docs, args.jobs)
     items = [
         {"value": _rat(value.value), "kind": value.exactness.value, "lc": value.lc_label()}
         for value in results
@@ -163,6 +166,9 @@ def _cmd_local(args):
 
 
 def _cmd_germ(args):
+    from .germs import DEFAULT_CAP, lct_obstruction
+
+    cap = DEFAULT_CAP if args.cap is None else args.cap
     source = args.input.strip()
     if source == "-" or source.startswith("{") or source.startswith("["):
         doc = _load_document(source)
@@ -171,7 +177,7 @@ def _cmd_germ(args):
     else:
         doc = source
     docs = doc if isinstance(doc, list) else [doc]
-    results = _parallel_map(_eval_germ_doc, [(entry, args.cap) for entry in docs], args.jobs)
+    results = _parallel_map(_eval_germ_docs, [(entry, cap) for entry in docs], args.jobs)
     items = []
     lines = []
     for invariants in results:
@@ -193,6 +199,8 @@ def _cmd_germ(args):
 
 
 def _cmd_global(args):
+    from .pairs import check_bmy, pair_from_dict
+
     pair = pair_from_dict(_load_document(args.input))
     bmy = check_bmy(pair)
     multiplicities = bmy.multiplicities
@@ -232,6 +240,8 @@ def _cmd_global(args):
 
 
 def _cmd_arrangement(args):
+    from .applications import ArrangementData, check_arrangement
+
     if args.input is not None and (args.k is not None or args.t is not None):
         raise ValueError("ambiguous input: both a document and inline flags were given")
     if args.input is not None:
@@ -274,6 +284,8 @@ def _cmd_arrangement(args):
 
 
 def _cmd_cusps(args):
+    from .applications import cusp_count_bound, cusp_ratio_optimize
+
     if args.optimize:
         if args.degree is not None or args.alpha is not None:
             raise ValueError("--optimize does not take --degree/--alpha")
@@ -294,6 +306,8 @@ def _cmd_cusps(args):
 
 
 def _cmd_bound(args):
+    from .applications import canonical_degree_bound
+
     bound = canonical_degree_bound(args.c1_sq, args.c2, args.genus, args.ordinary)
     values = {
         "bound": _rat(bound),
@@ -307,6 +321,8 @@ def _cmd_bound(args):
 
 
 def _cmd_check(args):
+    from .applications import check_singularity_budget
+
     doc = _load_document(args.input)
     for key in ("c1_sq", "c2", "alpha", "k_dot_c", "c_sq", "points"):
         if key not in doc:
@@ -357,9 +373,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     germ = subparsers.add_parser("germ", help="Milnor/Tjurina numbers of a plane germ")
     germ.add_argument("input", help="polynomial in x,y; document path; '-'; or inline JSON")
-    germ.add_argument(
-        "--cap", type=int, default=DEFAULT_CAP, help=f"truncation cap (default {DEFAULT_CAP})"
-    )
+    # The default stays in germs, which parsing does not import.
+    germ.add_argument("--cap", type=int, help="truncation cap (default: orbeuler.germs.DEFAULT_CAP)")
     germ.add_argument("--jobs", type=int, default=1, help="parallel workers for list input")
     germ.set_defaults(handler=_cmd_germ)
 

@@ -359,7 +359,7 @@ class TestGlobal:
         def broken(pair):
             raise KeyError("internal")
 
-        monkeypatch.setattr(orbeuler.cli, "check_bmy", broken)
+        monkeypatch.setattr(orbeuler.pairs, "check_bmy", broken)
         with pytest.raises(KeyError):
             main(["global", json.dumps(pair_to_dict(quadrilateral_pair()))])
         assert capsys.readouterr().out == ""

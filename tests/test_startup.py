@@ -1,0 +1,120 @@
+"""What a CLI process imports, and the process pool under every start method.
+
+Each case runs in a fresh interpreter, as ``python -m orbeuler`` would, and
+reads back ``sys.modules``: a subcommand must not load the modules, or the
+process pool, that it does not run.
+"""
+
+import json
+import multiprocessing
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from orbeuler import pair_to_dict
+
+from fixtures import quadrilateral_pair
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# Runs ``python -m orbeuler <argv>`` under runpy, then prints the exit code
+# and the package, concurrent.futures and multiprocessing modules loaded.
+PROBE = """
+import contextlib, io, json, runpy, sys
+sys.argv = ["orbeuler", "--format", "machine", *json.loads(sys.argv[1])]
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        runpy.run_module("orbeuler", run_name="__main__", alter_sys=True)
+    except SystemExit as stop:
+        code = stop.code
+roots = ("orbeuler", "concurrent", "multiprocessing")
+print(json.dumps([code, sorted(m for m in sys.modules if m.partition(".")[0] in roots)]))
+"""
+
+# Runs the CLI with the given start method for the process pool.
+WITH_START_METHOD = """
+import multiprocessing, sys
+multiprocessing.set_start_method(sys.argv[1])
+from orbeuler.cli import main
+sys.exit(main(sys.argv[2:]))
+"""
+
+POOL = ("concurrent", "multiprocessing")
+APPLICATIONS_ONLY = ["orbeuler.local", "orbeuler.pairs", "orbeuler.germs"]
+LOCAL_DOCS = json.dumps(
+    [
+        {"type": "ordinary", "coeffs": ["1/2", "1/2", "1/2"]},
+        {"type": "cyclic", "n": 5, "q": 2, "d1": "1/2", "d2": "1/3"},
+        {"type": "star", "b": 2, "arms": [[2, 1, "1/2"], [3, 1, 0], [5, 1, "1/3"]]},
+        {"type": "germ_mu_tau", "mu": 4, "tau": 3},
+    ]
+)
+GERMS = json.dumps(["x^2+y^3", "x^3+y^5", "x^2y+y^4", "x^2+y^9"])
+PAIR = json.dumps(pair_to_dict(quadrilateral_pair()))
+BUDGET = {"c1_sq": 9, "c2": 3, "alpha": "1/2", "k_dot_c": -18, "c_sq": 36, "points": [[2, "1/24"]]}
+
+
+def python(*args):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    result = subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+def loaded_by(argv):
+    code, modules = json.loads(python("-c", PROBE, json.dumps(argv)))
+    assert code == 0
+    return modules
+
+
+def loads_any(modules, roots):
+    return [m for m in modules if m in roots or m.startswith(tuple(f"{r}." for r in roots))]
+
+
+@pytest.mark.parametrize(
+    "argv, absent",
+    [
+        pytest.param(["cusps", "--degree", "6", "--alpha", "1/2"], APPLICATIONS_ONLY, id="cusps"),
+        pytest.param(["cusps", "--optimize", "--grid", "600"], APPLICATIONS_ONLY, id="cusps-optimize"),
+        pytest.param(["arrangement", "--k", "6", "--t", "2:3,3:4"], APPLICATIONS_ONLY, id="arrangement"),
+        pytest.param(["bound", "--c1-sq", "9", "--c2", "3", "--genus", "2"], APPLICATIONS_ONLY, id="bound"),
+        pytest.param(["check", json.dumps(BUDGET)], APPLICATIONS_ONLY, id="check"),
+        pytest.param(["local", LOCAL_DOCS], ["orbeuler.pairs", "orbeuler.germs", "orbeuler.applications"], id="local"),
+        pytest.param(["global", PAIR], ["orbeuler.germs", "orbeuler.applications"], id="global"),
+        pytest.param(["germ", GERMS], ["orbeuler.pairs", "orbeuler.applications"], id="germ"),
+    ],
+)
+def test_subcommand_loads_only_what_it_runs(argv, absent):
+    modules = loaded_by(argv)
+    assert {"orbeuler", "orbeuler.cli", "orbeuler.rationals"} <= set(modules)
+    assert loads_any(modules, [*absent, *POOL]) == []
+
+
+@pytest.mark.parametrize(
+    "argv, pool",
+    [
+        pytest.param(["local", LOCAL_DOCS, "--jobs", "2"], True, id="local-batch-jobs-2"),
+        pytest.param(["germ", GERMS, "--jobs", "2"], True, id="germ-batch-jobs-2"),
+        pytest.param(["local", "--ordinary", "1/2", "--jobs", "2"], False, id="local-one-jobs-2"),
+        pytest.param(["germ", "x^2+y^3", "--jobs", "2"], False, id="germ-one-jobs-2"),
+        pytest.param(["germ", GERMS, "--jobs", "1"], False, id="germ-batch-jobs-1"),
+    ],
+)
+def test_pool_is_loaded_only_for_a_parallel_batch(argv, pool):
+    assert bool(loads_any(loaded_by(argv), ["multiprocessing"])) is pool
+
+
+@pytest.mark.parametrize("method", ["fork", "spawn", "forkserver"])
+@pytest.mark.parametrize("argv", [["germ", GERMS], ["local", LOCAL_DOCS]], ids=["germ", "local"])
+def test_pool_output_is_serial_output_under_every_start_method(method, argv):
+    if method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"start method {method} is not available on this platform")
+    serial = python("-m", "orbeuler", "--format", "machine", *argv, "--jobs", "1")
+    parallel = python("-c", WITH_START_METHOD, method, "--format", "machine", *argv, "--jobs", "2")
+    assert parallel == serial
+    assert json.loads(serial)["values"]["items"]
