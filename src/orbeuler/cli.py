@@ -24,7 +24,7 @@ from fractions import Fraction
 # Every path formats rationals; the other modules are imported by the
 # handlers and workers that use them, so that a process loads only what its
 # subcommand runs.
-from .rationals import as_rational, format_rational
+from .rationals import as_rational, format_rational as _rat
 
 _EXIT_BY_VERDICT = {
     "computed": 0,
@@ -56,10 +56,6 @@ def _decimal(x) -> str:
         context = Context(prec=7, Emax=MAX_EMAX, Emin=MIN_EMIN)
         return f"{context.divide(x.numerator, x.denominator).normalize(context):.7g}"
     return f"{approx:.7g}"
-
-
-def _rat(x) -> str:
-    return format_rational(x)
 
 
 def _load_document(source: str):
@@ -105,7 +101,8 @@ def _eval_germ_docs(payloads):
 
 
 # --- subcommand handlers ------------------------------------------------
-# Each returns (verdict, values, tags, text lines, optional exit override).
+# Each returns (verdict, values, tags, text lines, optional exit override);
+# the lines may be any iterable, read only in text mode.
 
 
 def _local_inputs(args):
@@ -157,10 +154,10 @@ def _cmd_local(args):
         for value in results
     ]
     tags = sorted({_LOCAL_TAGS.get(doc.get("type"), "local-euler") for doc in docs})
-    lines = [
+    lines = (
         f"value={item['value']} (~{_decimal(result.value)}) kind={item['kind']} lc={item['lc']}"
         for item, result in zip(items, results)
-    ]
+    )
     values = items[0] if len(items) == 1 else {"items": items}
     return "computed", values, tags, lines, None
 
@@ -170,12 +167,10 @@ def _cmd_germ(args):
 
     cap = DEFAULT_CAP if args.cap is None else args.cap
     source = args.input.strip()
-    if source == "-" or source.startswith("{") or source.startswith("["):
-        doc = _load_document(source)
-    elif os.path.exists(source) and source.endswith(".json"):
-        doc = _load_document(source)
-    else:
-        doc = source
+    is_document = source == "-" or source.startswith(("{", "[")) or (
+        os.path.exists(source) and source.endswith(".json")
+    )
+    doc = _load_document(source) if is_document else source
     docs = doc if isinstance(doc, list) else [doc]
     results = _parallel_map(_eval_germ_docs, [(entry, cap) for entry in docs], args.jobs)
     items = []
@@ -422,9 +417,7 @@ def main(argv=None) -> int:
     else:
         for line in lines:
             print(line)
-    if exit_override is not None:
-        return exit_override
-    return _EXIT_BY_VERDICT[verdict]
+    return _EXIT_BY_VERDICT[verdict] if exit_override is None else exit_override
 
 
 if __name__ == "__main__":

@@ -270,9 +270,7 @@ def euler_ordinary(coeffs) -> EulerValue:
 
 def euler_cyclic(chain, d1, d2) -> EulerValue:
     """Value ``(1 - d1)(1 - d2)/n`` of a cyclic quotient; independent of q."""
-    germ = CyclicQuotient(chain, d1, d2)
-    value = (1 - germ.d1) * (1 - germ.d2) / germ.chain.n
-    return EulerValue(value, Exactness.EXACT, True)
+    return euler_local(CyclicQuotient(chain, d1, d2))
 
 
 _EXCEPTIONAL_TRIPLES = ((2, 3, 3), (2, 3, 4), (2, 3, 5))
@@ -287,7 +285,10 @@ def validate_star(b, arms) -> StarValidation:
     Raises :class:`NotQuotientError` when b0 <= 0 or no assignment exists;
     the Euler value itself never depends on the assignment found.
     """
-    star = StarQuotient(b, tuple(arms))
+    return _validate_star(StarQuotient(b, tuple(arms)))
+
+
+def _validate_star(star: StarQuotient) -> StarValidation:
     b0 = star.b - sum(Fraction(arm.q, arm.n) for arm in star.arms)
     if b0 <= 0:
         raise NotQuotientError(f"b0 = {format_rational(b0)} <= 0: the central curve does not contract")
@@ -314,13 +315,7 @@ def validate_star(b, arms) -> StarValidation:
 
 def euler_star(b, arms) -> EulerValue:
     """Value of a star-shaped quotient point; see the module docstring."""
-    validation = validate_star(b, arms)
-    inv = validation.invariants
-    if inv.alpha < 1:
-        return EulerValue(Fraction(0), Exactness.EXACT, False)
-    if inv.alpha < 2 * inv.beta + 1:
-        return EulerValue((inv.alpha - 1) ** 2 / (4 * inv.b0), Exactness.EXACT, True)
-    return EulerValue((inv.alpha - 1 - inv.beta) * inv.beta / inv.b0, Exactness.EXACT, True)
+    return euler_local(StarQuotient(b, tuple(arms)))
 
 
 def cover_degree(b0, p1: int, p2: int, p3: int) -> CoverDegree:
@@ -364,13 +359,18 @@ def euler_ordinary3_cover_oracle(n: int, l1: int, l2: int, l3: int) -> Fraction:
 
 
 def euler_local(s: LocalSingularity) -> EulerValue:
-    """Evaluate any supported germ by dispatching on its class."""
+    """Evaluate a built germ by its class; euler_cyclic and euler_star build theirs and call this."""
     if isinstance(s, Ordinary):
         return euler_ordinary(s)
     if isinstance(s, CyclicQuotient):
-        return euler_cyclic(s.chain, s.d1, s.d2)
+        return EulerValue((1 - s.d1) * (1 - s.d2) / s.chain.n, Exactness.EXACT, True)
     if isinstance(s, StarQuotient):
-        return euler_star(s.b, s.arms)
+        inv = _validate_star(s).invariants
+        if inv.alpha < 1:
+            return EulerValue(Fraction(0), Exactness.EXACT, False)
+        if inv.alpha < 2 * inv.beta + 1:
+            return EulerValue((inv.alpha - 1) ** 2 / (4 * inv.b0), Exactness.EXACT, True)
+        return EulerValue((inv.alpha - 1 - inv.beta) * inv.beta / inv.b0, Exactness.EXACT, True)
     if isinstance(s, ReducedGerm):
         difference = s.mu - s.tau
         if difference > 1:

@@ -30,16 +30,16 @@ enter as ``count * term``, so the work follows the number of distinct germs,
 not the number of points.
 
 The supplied point list is trusted to be all of Sing(X, D): omitting a
-singular point invalidates a certificate.  Two surface modes exist: the
-projective plane (intersection numbers from degrees, effectivity decided by
-total degree) and a generic mode with user-supplied pairings and a
-user-asserted effectivity flag.
+singular point invalidates a certificate.  A point on no component removes
+nothing from any curve, which is right exactly when D is absent there, so
+such a point is rejected unless its germ carries no boundary weight and its
+m_P is 0.  Two surface modes exist: the projective plane (intersection
+numbers from degrees, effectivity decided by total degree) and a generic
+mode with user-supplied pairings and a user-asserted effectivity flag.
 """
 
 from __future__ import annotations
 
-import sys
-import warnings
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -47,8 +47,12 @@ from fractions import Fraction
 from typing import Mapping, Optional
 
 from .local import (
+    CyclicQuotient,
     Exactness,
     LocalSingularity,
+    Ordinary,
+    ReducedGerm,
+    StarQuotient,
     euler_local,
     singularity_from_dict,
     singularity_to_dict,
@@ -157,7 +161,8 @@ class SingularPointData:
     ``incident`` lists (component id, number of analytic branches of that
     component at the point); ``multiplicity`` is the weight-combined
     multiplicity of D at the point, sum of a_i times the branch
-    multiplicities.
+    multiplicities.  A point with no incidences lies off D, so an assembly
+    rejects it unless its germ carries no boundary weight and m_P is 0.
     """
 
     id: str
@@ -284,14 +289,18 @@ def euler_top_curve(genus: int, branch_counts) -> int:
     return total
 
 
-def _outside_stacklevel() -> int:
-    """The warnings stacklevel naming the first frame outside this module."""
-    frame = sys._getframe(1)
-    level = 1
-    while frame is not None and frame.f_globals.get("__name__") == __name__:
-        frame = frame.f_back
-        level += 1
-    return level
+def _boundary_weights(germ: LocalSingularity) -> tuple:
+    """The boundary weights a germ puts at its point; a reduced germ is one
+    weight-1 curve, and a germ of no known class is left to the evaluator."""
+    if isinstance(germ, Ordinary):
+        return germ.coeffs
+    if isinstance(germ, CyclicQuotient):
+        return (germ.d1, germ.d2)
+    if isinstance(germ, StarQuotient):
+        return tuple(arm.d for arm in germ.arms)
+    if isinstance(germ, ReducedGerm):
+        return (Fraction(1),)
+    return ()
 
 
 def euler_orbifold_global(pair: PairDescription) -> GlobalEuler:
@@ -301,16 +310,16 @@ def euler_orbifold_global(pair: PairDescription) -> GlobalEuler:
     terms enter with positive sign), and the lc flag records whether every
     supplied point is log canonical.  Each distinct germ is evaluated once,
     when a point first carries it, and enters as ``count * (e_loc - 1)``.
+    A point on no component is refused, before its germ is evaluated, unless
+    its germ carries no boundary weight and its m_P is 0.
     """
     germs = {}  # distinct germ -> [its local value, number of points carrying it]
     branches = {component.id: 0 for component in pair.components}
     for point in pair.points:
-        if not point.incident:
-            warnings.warn(
-                f"point {point.id} is incident to no component; "
-                "nothing is removed from any curve (suspicious input unless it is "
-                "a surface singularity off the boundary)",
-                stacklevel=_outside_stacklevel(),
+        if not point.incident and (point.multiplicity or any(_boundary_weights(point.local))):
+            raise ValueError(
+                f"point {point.id} lies on no component, so its germ must carry no "
+                "boundary weight and its m_P must be 0"
             )
         seen = germs.get(point.local)
         if seen is None:
@@ -403,14 +412,7 @@ def check_bmy(pair: PairDescription) -> BmyReport:
     m_terms = sum((count * (m**2 / 4 - m) for m, count in m_counts.items()), Fraction(0))
     mult_rhs = 3 * (global_value.base + m_terms)
     mult_verdict, mult_equality = _compare(rhs, mult_rhs, exact=True, notes=notes)
-    multiplicities = IneqReport(
-        lhs=rhs,
-        rhs=mult_rhs,
-        slack=mult_rhs - rhs,
-        verdict=mult_verdict,
-        equality=mult_equality,
-        notes=tuple(notes),
-    )
+    multiplicities = IneqReport(rhs, mult_rhs, mult_rhs - rhs, mult_verdict, mult_equality, tuple(notes))
     verdict, equality = _compare(rhs, lhs, global_value.is_exact, notes)
     if verdict is Verdict.PROVED and equality:
         notes.append("equality: K+D is nef (consequence of the theorem, not verified)")

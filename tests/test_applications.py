@@ -91,11 +91,21 @@ class TestArrangements:
             ArrangementData.from_counts(3, {2: -3})
         with pytest.raises(InvalidArrangementError):
             ArrangementData(3, ((2, 3), (2, 0)))
+        for k in (0, -1):
+            with pytest.raises(InvalidArrangementError, match="k must be a positive integer"):
+                ArrangementData(k, ())
 
     def test_generic_three_lines_equality(self):
         report = check_arrangement(3, {2: 3})
         assert report.verdict == "holds"
         assert report.incidence_equality and report.square_equality
+
+    def test_fano_configuration_violates(self):
+        # Seven lines through seven triple points exist only in characteristic 2.
+        report = check_arrangement(7, {3: 7})
+        assert report.verdict == "violation"
+        assert (report.incidence_sum, report.incidence_bound) == (21, 24)
+        assert (report.square_sum, report.square_bound) == (63, 66)
 
     def test_two_lines_are_a_pencil(self):
         assert check_arrangement(2, {2: 1}).verdict == "hypothesis-not-met"

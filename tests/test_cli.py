@@ -152,6 +152,15 @@ class TestGerm:
         assert payload["values"]["mu"] == "12"
         assert payload["values"]["tau"] == "11"
 
+    def test_smooth_germ(self, capsys):
+        code, payload, _ = run_machine(capsys, "germ", "x+y^2")
+        assert code == 0
+        assert payload == {
+            "verdict": "no-obstruction",
+            "values": {"mu": "0", "tau": "0", "e_orb": "0", "lct": "no-obstruction", "truncation": "1"},
+            "paper_refs": ["milnor-tjurina-truncation", "comparison-theorem-obstruction"],
+        }
+
     def test_document_input(self, capsys, tmp_path):
         path = tmp_path / "germ.json"
         path.write_text(json.dumps({"terms": [[2, 0, "1"], [0, 3, "1"]]}))
@@ -233,6 +242,40 @@ class TestGlobal:
         code, out, err = run(capsys, "global", json.dumps(doc))
         assert (code, out) == (2, "")
         assert f"component D: {named}" in err
+
+    def test_off_boundary_quotient_point_is_silent(self, capsys):
+        doc = json.dumps(pair_to_dict(quotient_point_pair()))
+        code, out, err = run(capsys, "global", doc)
+        assert (code, err) == (1, "")
+        assert out.splitlines() == [
+            "e_orb=5/2 (~2.5) kind=exact lc=lc",
+            "(K+D)^2=8",
+            "bmy: lhs=15/2 rhs=8 verdict=precondition-failed",
+            "multiplicities: lhs=8 rhs=9 verdict=precondition-failed",
+            "note: effectivity of a multiple of K+D was not asserted",
+        ]
+        code, payload, err = run_machine(capsys, "global", doc)
+        assert (code, err, payload["verdict"]) == (1, "", "precondition-failed")
+        assert (payload["values"]["e_orb"], payload["values"]["mult_rhs"]) == ("5/2", "9")
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("local", {"type": "ordinary", "coeffs": ["1/2"]}),
+            ("local", {"type": "cyclic", "n": 2, "q": 1, "d1": "1/3", "d2": "0"}),
+            ("local", {"type": "star", "b": 1, "arms": [[2, 1, "0"], [3, 1, "0"], [1, 0, "1/2"]]}),
+            ("local", {"type": "germ_mu_tau", "mu": 2, "tau": 2}),
+            ("m_P", "1"),
+        ],
+        ids=["ordinary", "cyclic", "star", "germ_mu_tau", "m_P"],
+    )
+    def test_inconsistent_off_boundary_point_is_exit_2(self, capsys, field, value):
+        doc = pair_to_dict(quotient_point_pair())
+        doc["points"][0][field] = value
+        for fmt in ("text", "machine"):
+            code, out, err = run(capsys, "--format", fmt, "global", json.dumps(doc))
+            assert (code, out) == (2, "")
+            assert err.startswith("error: point Q lies on no component")
 
     def test_refused_germ_is_exit_2(self, capsys):
         code, out, err = run(capsys, "global", json.dumps(pair_to_dict(refused_germ_pair())))
@@ -441,6 +484,15 @@ class TestArrangement:
         code, _, err = run(capsys, "arrangement", "--k", "4", "--t", "2:5")
         assert code == 2
         assert "pair-count identity" in err
+
+    def test_fano_violation(self, capsys):
+        code, out, _ = run(capsys, "arrangement", "--k", "7", "--t", "3:7")
+        assert code == 1
+        assert out.splitlines() == [
+            "verdict=violation",
+            "sum r*t_r = 21 >= 24 (slack -3)",
+            "sum r^2*t_r = 63 >= 66 (slack -3)",
+        ]
 
     def test_document_form(self, capsys):
         doc = json.dumps({"k": 4, "t": {"2": 6}})

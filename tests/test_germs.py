@@ -185,6 +185,7 @@ class TestMilnor:
     def test_smooth_short_circuit(self):
         assert milnor_number("x+y^5") == 0
         assert tjurina_number("y") == 0
+        assert engine_invariants("x+y^2", DEFAULT_CAP) == (0, 0, 1)
 
     def test_non_isolated(self):
         with pytest.raises(NotIsolatedError):

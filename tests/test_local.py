@@ -220,18 +220,19 @@ class TestStars:
         value = euler_star(2, star(2, ((2, 1, 1), (3, 2, 0), (5, 4, d))).arms)
         assert value.value == 0
 
-    def test_evaluation_builds_the_star_once(self, monkeypatch):
-        built = []
-        post_init = StarQuotient.__post_init__
-
-        def counted(self):
-            built.append(self)
-            post_init(self)
-
-        e8 = star(2, ((2, 1, 0), (3, 2, 0), (5, 4, 0)))
-        monkeypatch.setattr(StarQuotient, "__post_init__", counted)
-        assert euler_local(e8).value == F(1, 120)
-        assert len(built) == 1
+    @pytest.mark.parametrize(
+        "b, arms, message",
+        [
+            (0, ((2, 1, 0), (3, 2, 0), (5, 4, 0)), "central weight b"),
+            (-2, ((2, 1, 0), (3, 2, 0), (5, 4, 0)), "central weight b"),
+            (2, ((2, 1, 0), (3, 2, 0)), "exactly 3 arms, got 2"),
+        ],
+    )
+    def test_malformed_star_rejected(self, b, arms, message):
+        with pytest.raises(ValueError, match=message):
+            StarQuotient(b, arms)
+        with pytest.raises(ValueError, match=message):
+            euler_star(b, arms)
 
 
 class TestCoverDegree:
@@ -323,3 +324,18 @@ class TestDispatchAndSerialization:
             singularity_from_dict({"type": "mystery"})
         with pytest.raises(ValueError):
             singularity_from_dict({"type": "ordinary"})
+
+    @pytest.mark.parametrize(
+        "germ, evaluate",
+        [
+            (CyclicQuotient(Chain(5, 2), F(1, 3), F(0)), lambda g: euler_cyclic(g.chain, g.d1, g.d2)),
+            (star(2, ADE_STARS["E8"][1]), lambda g: euler_star(g.b, g.arms)),
+        ],
+        ids=["cyclic", "star"],
+    )
+    def test_evaluation_reads_the_given_germ(self, monkeypatch, germ, evaluate):
+        expected = evaluate(germ)
+        built = []
+        monkeypatch.setattr(type(germ), "__post_init__", built.append)
+        assert euler_local(germ) == expected
+        assert built == []

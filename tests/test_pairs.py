@@ -341,18 +341,6 @@ class TestGlobalAssembly:
         assert euler_orbifold_global(extended) == euler_orbifold_global(pair)
         assert pair_kd_squared(extended) == pair_kd_squared(pair)
 
-    def test_quotient_point_off_boundary(self):
-        pair = quotient_point_pair()
-        with pytest.warns(UserWarning) as record:
-            value = euler_orbifold_global(pair)
-        assert value.value == 3 - F(1, 2)
-        assert record[0].filename == __file__
-        # The warning names the caller's line, whichever entry point it used.
-        for checker in (check_bmy, check_bmy_multiplicities):
-            with pytest.warns(UserWarning, match="incident to no component") as record:
-                checker(pair)
-            assert record[0].filename == __file__, checker.__name__
-
 
 def paper_base(pair):
     """e_orb without its local terms: e_orb - sum_P (e_P - 1), point by point."""
@@ -395,31 +383,69 @@ class TestGrouping:
             list(report.multiplicities.notes),
         ) == per_point_bmy(pair)
 
-    def off_boundary_points(self, k):
-        """k points off every component, all carrying one germ."""
-        point = quotient_point_pair().points[0]
-        return tuple(replace(point, id=f"Q{i}") for i in range(k))
 
-    def test_one_warning_per_point(self):
-        pair = replace(quotient_point_pair(), points=self.off_boundary_points(3))
-        with pytest.warns(UserWarning, match="incident to no component") as record:
-            value = euler_orbifold_global(pair)
-        assert value.value == 3 + 3 * (F(1, 2) - 1)
-        assert [w.filename for w in record] == [__file__] * 3
-        assert [str(w.message).split()[1] for w in record] == ["Q0", "Q1", "Q2"]
+# Germs that put no boundary weight at their point, with their local values.
+OFF_BOUNDARY_GERMS = {
+    "A1": (CyclicQuotient(Chain(2, 1), F(0), F(0)), F(1, 2)),
+    "smooth point": (Ordinary((F(0),)), F(1)),
+    "weight-0 branches": (Ordinary((F(0), F(0))), F(1)),
+    "E8": (StarQuotient(2, ((2, 1, 0), (3, 2, 0), (5, 4, 0))), F(1, 120)),
+}
 
-    def test_refused_germ_raises_in_point_order(self):
-        # The warnings of the points before the refused germ are issued, and
-        # none of those after it.
-        refused = refused_germ_pair()
-        off = self.off_boundary_points(4)
-        pair = replace(refused, points=off[:2] + refused.points + off[2:])
+# Points off every component whose germ or m_P says D is there after all.
+INCONSISTENT_OFF_BOUNDARY = {
+    "ordinary weight": (Ordinary((F(0), F(1, 2))), F(0)),
+    "cyclic d1": (CyclicQuotient(Chain(3, 1), F(1, 3), F(0)), F(0)),
+    "star-arm weight": (StarQuotient(2, ((2, 1, 0), (3, 2, 0), (5, 4, "1/2"))), F(0)),
+    "germ_mu_tau": (ReducedGerm(0, 0), F(0)),
+    "m_P": (CyclicQuotient(Chain(2, 1), F(0), F(0)), F(1, 2)),
+}
+
+
+def off_boundary_point(point_id, germ, multiplicity=F(0)):
+    return SingularPointData(id=point_id, local=germ, incident=(), multiplicity=multiplicity)
+
+
+class TestOffBoundary:
+    """A point on no component is accepted exactly when D is absent there."""
+
+    @pytest.mark.parametrize("name", OFF_BOUNDARY_GERMS)
+    def test_consistent_points_sum_silently(self, name):
+        germ, local_value = OFF_BOUNDARY_GERMS[name]
+        points = tuple(off_boundary_point(f"Q{i}", germ) for i in range(3))
+        pair = replace(quotient_point_pair(), points=points)
         with warnings.catch_warnings(record=True) as record:
             warnings.simplefilter("always")
-            with pytest.raises(ValueError, match="mu - tau = 2 > 1"):
-                check_bmy(pair)
-        assert [str(w.message).split()[1] for w in record] == ["Q0", "Q1"]
-        assert [w.filename for w in record] == [__file__] * 2
+            value = euler_orbifold_global(pair)
+            report = check_bmy(pair)
+        assert record == []
+        assert value.value == report.global_value.value == 3 + 3 * (local_value - 1)
+        assert value.base == 3
+
+    @pytest.mark.parametrize("name", INCONSISTENT_OFF_BOUNDARY)
+    def test_inconsistent_point_is_rejected(self, name):
+        germ, multiplicity = INCONSISTENT_OFF_BOUNDARY[name]
+        pair = replace(
+            quotient_point_pair(),
+            points=quotient_point_pair().points + (off_boundary_point("R", germ, multiplicity),),
+        )
+        for checker in (euler_orbifold_global, check_bmy, check_bmy_multiplicities):
+            with pytest.raises(ValueError, match="^point R lies on no component"):
+                checker(pair)
+
+    def test_rejected_before_its_germ_is_evaluated(self):
+        # mu - tau = 2 is refused by the evaluator, but the point is refused first.
+        pair = replace(quotient_point_pair(), points=(off_boundary_point("R", ReducedGerm(3, 1)),))
+        with pytest.raises(ValueError, match="^point R lies on no component"):
+            euler_orbifold_global(pair)
+
+    def test_errors_in_point_order(self):
+        refused = refused_germ_pair()
+        bad = off_boundary_point("R", Ordinary((F(1, 2),)))
+        with pytest.raises(ValueError, match="^point R lies on no component"):
+            check_bmy(replace(refused, points=(bad,) + refused.points))
+        with pytest.raises(ValueError, match="mu - tau = 2 > 1"):
+            check_bmy(replace(refused, points=refused.points + (bad,)))
 
 
 class TestKdSquared:
