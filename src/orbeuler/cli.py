@@ -174,7 +174,6 @@ def _cmd_germ(args):
     docs = doc if isinstance(doc, list) else [doc]
     results = _parallel_map(_eval_germ_docs, [(entry, cap) for entry in docs], args.jobs)
     items = []
-    lines = []
     for invariants in results:
         defect, lct = lct_obstruction([(invariants.mu, invariants.tau)])
         items.append(
@@ -186,7 +185,10 @@ def _cmd_germ(args):
                 "truncation": str(invariants.truncation_used),
             }
         )
-        lines.append(f"mu={invariants.mu} tau={invariants.tau} e_orb={defect} lct={lct}")
+    lines = (
+        f"mu={item['mu']} tau={item['tau']} e_orb={item['e_orb']} lct={item['lct']}"
+        for item in items
+    )
     _, verdict = lct_obstruction((invariants.mu, invariants.tau) for invariants in results)
     values = items[0] if len(items) == 1 else {"items": items}
     tags = ["milnor-tjurina-truncation", "comparison-theorem-obstruction"]

@@ -15,8 +15,9 @@ monomials of degree < cap: 465 at the default cap 30, ample at desk scale.
 
 A germ that never stabilises by the cap is reported as
 :class:`NotIsolatedError` (non-isolated singularity, or cap too small); a
-non-reduced germ manifests the same way.  Coefficients are restricted to
-rationals so that the elimination stays exact.
+non-reduced germ manifests the same way.  Coefficients are rational, and
+the elimination is exact and fraction-free: f is scaled by the lcm of its
+denominators, which changes neither ideal, and every row holds integers.
 
 The difference ``mu - tau`` is the local orbifold Euler number of the
 weight-1 pair, it vanishes exactly for weighted homogeneous singularities
@@ -29,6 +30,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 from .rationals import as_rational, format_rational, is_integer, parse_rational
@@ -153,7 +155,7 @@ def _as_germ(f) -> CurveGerm:
 
 
 def _partial(poly: Mapping, axis: int) -> dict:
-    out: dict[tuple[int, int], Fraction] = {}
+    out: dict[tuple[int, int], int] = {}
     for (i, j), c in poly.items():
         if axis == 0 and i > 0:
             out[(i - 1, j)] = c * i
@@ -170,16 +172,27 @@ def _reduce_insert(row: dict, pivots: dict) -> None:
     # Rows are keyed by (degree, x-exponent) and reduced at their lowest key,
     # a degree-compatible order: the lead of a row only rises under reduction,
     # so the pivots of degree < N span the truncation of the rows below N.
+    # Rows hold integers: a pivot is stored primitive, and a row is reduced by
+    # it as (p/g) row - (r/g) pivot with p, r the two leads and g = gcd(p, r),
+    # which changes no span, so the pivot keys are those of a field elimination.
     while row:
         lead = min(row)
         pivot = pivots.get(lead)
         if pivot is None:
-            inv = 1 / row[lead]
-            pivots[lead] = {m: c * inv for m, c in row.items()}
+            content = gcd(*row.values())
+            if content != 1:
+                row = {m: c // content for m, c in row.items()}
+            pivots[lead] = row
             return
-        factor = row[lead]
+        p, r = pivot[lead], row[lead]
+        g = gcd(p, r)
+        if p != g:
+            scale = p // g
+            for m in row:
+                row[m] *= scale
+        factor = r // g
         for m, c in pivot.items():
-            value = row.get(m, Fraction(0)) - factor * c
+            value = row.get(m, 0) - factor * c
             if value:
                 row[m] = value
             else:
@@ -223,7 +236,11 @@ def _ideal_generators(f, cap):
         raise ValueError(f"cap must be a positive integer, got {cap!r}")
     if _is_smooth(germ):
         return None
-    poly = germ.coefficients()
+    # Scaling f by the lcm of its denominators changes neither ideal and makes
+    # every generator an integer polynomial.
+    coefficients = germ.coefficients()
+    scale = lcm(*(c.denominator for c in coefficients.values()))
+    poly = {m: c.numerator * (scale // c.denominator) for m, c in coefficients.items()}
     jacobian = [_partial(poly, 0), _partial(poly, 1)]
     return jacobian, [poly, *jacobian]
 

@@ -188,6 +188,12 @@ class TestGerm:
         code, payload, _ = run_machine(capsys, "germ", docs, "--jobs", "2")
         assert code == 0
         assert [item["mu"] for item in payload["values"]["items"]] == ["1", "2"]
+        code, out, _ = run(capsys, "germ", docs, "--jobs", "2")
+        assert code == 0
+        assert out.splitlines() == [
+            "mu=1 tau=1 e_orb=0 lct=no-obstruction",
+            "mu=2 tau=2 e_orb=0 lct=no-obstruction",
+        ]
 
 
 class TestGlobal:

@@ -1,8 +1,14 @@
+import json
 import random
 from fractions import Fraction as F
+from math import gcd
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import orbeuler.germs as engine
 from orbeuler import (
     DEFAULT_CAP,
     CurveGerm,
@@ -139,6 +145,88 @@ class TestRestartOracle:
 
     def test_recorded_long_a_k(self):
         assert engine_invariants("x^2+y^45", 50) == (44, 44, 45)
+
+    def test_benchmark_recorded_germs(self):
+        recorded = json.loads((Path(__file__).resolve().parents[1] / "bench" / "recorded.json").read_text())
+        assert len(recorded["germs"]) > 500
+        mismatches = {
+            poly: expected
+            for poly, expected in recorded["germs"].items()
+            if list(engine_invariants(poly, 64)) != expected
+        }
+        assert mismatches == {}
+
+
+class TestKouchnirenkoOracle:
+    """mu = 2V - a - b + 1 for a convenient Newton-nondegenerate germ.
+
+    On x^a + y^b + c x^i y^j with i/a + j/b < 1 the Newton polygon has the
+    two edges (a, 0)-(i, j) and (i, j)-(0, b), each carrying only its two
+    endpoint terms, and a binomial edge is nondegenerate for every c != 0.
+    Twice the area under the polygon is a j + i b.
+    """
+
+    COEFFICIENTS = (F(3, 2), F(-2, 7), F(-5), F(7, 3))
+
+    @staticmethod
+    def two_edge_germs():
+        for a in range(2, 10):
+            for b in range(a, 12):
+                for i in range(1, a):
+                    for j in range(1, b):
+                        if i * b + j * a < a * b:
+                            yield a, b, i, j
+
+    def test_two_edge_polygons(self):
+        mismatches = []
+        for n, (a, b, i, j) in enumerate(self.two_edge_germs()):
+            c = self.COEFFICIENTS[n % len(self.COEFFICIENTS)]
+            germ = CurveGerm(((a, 0, F(1)), (0, b, F(1)), (i, j, c)))
+            expected = a * j + i * b - a - b + 1
+            if milnor_number(germ, 64) != expected:
+                mismatches.append((str(germ), expected))
+        assert n + 1 == 688
+        assert mismatches == []
+
+    def test_recorded_example(self):
+        assert milnor_number("x^7+y^9+x^3y^5", 64) == 7 * 5 + 3 * 9 - 7 - 9 + 1 == 47
+
+
+_NONZERO_RATIONALS = st.fractions(min_value=-9, max_value=9, max_denominator=9).filter(bool)
+
+
+@given(st.integers(2, 6), st.integers(2, 6), st.data())
+def test_quasi_homogeneous_germs_have_mu_equal_tau(a, b, data):
+    """Saito: f in its Jacobian ideal by the Euler relation, so mu = tau."""
+    terms = tuple(
+        (i, (a * b - i * b) // a, data.draw(_NONZERO_RATIONALS))
+        for i in range(a + 1)
+        if (a * b - i * b) % a == 0
+    )
+    try:
+        invariants = germ_invariants(CurveGerm(terms))
+    except NotIsolatedError:
+        return
+    assert invariants.mu == invariants.tau
+
+
+def test_pivot_rows_are_primitive_integer_rows(monkeypatch):
+    tables = []
+    reduce_insert = engine._reduce_insert
+
+    def recording(row, pivots):
+        tables.append(pivots)
+        reduce_insert(row, pivots)
+
+    monkeypatch.setattr(engine, "_reduce_insert", recording)
+    assert engine_invariants("6x^4-10/3y^6+15x^2y^3", DEFAULT_CAP) == restart_invariants(
+        CurveGerm.parse("6x^4-10/3y^6+15x^2y^3"), DEFAULT_CAP
+    )
+    rows = [row for pivots in {id(t): t for t in tables}.values() for row in pivots.values()]
+    assert len(rows) > 50
+    for row in rows:
+        assert all(type(c) is int for c in row.values())
+        assert gcd(*row.values()) == 1
 
 
 class TestParsing:
