@@ -2,16 +2,19 @@
 
 For a germ ``f`` vanishing at the origin the Milnor number is the local
 dimension of ``O/(f_x, f_y)`` and the Tjurina number that of
-``O/(f, f_x, f_y)``.  Each is found by one exact elimination: the multiples
-x^a y^b g of the generators, truncated below degree ``cap`` and inserted by
+``O/(f, f_x, f_y)``.  Both come from one exact elimination: the multiples
+x^a y^b g of f_x and f_y, truncated below degree ``cap`` and inserted by
 a + b, are row-reduced at their lowest monomial in a degree-compatible
 order.  The pivots of degree < N then span the ideal's image modulo
 ``(x, y)^N``, so that one echelon form gives dim(N) of
 ``Q[x, y] / (generators + (x, y)^N)`` for every N <= cap at once.  That
 quotient is supported at the origin, and once dim(N) = dim(N + 1)
 Nakayama's lemma certifies that ``(x, y)^N`` lies in the local ideal, so
-the elimination stops there with the local value.  Rows live on the
-monomials of degree < cap: 465 at the default cap 30, ample at desk scale.
+the elimination stops there with mu, at N_mu.  The Tjurina ideal contains
+the Jacobian one and so stabilises no later: tau's elimination extends
+mu's echelon form by the multiples of f, truncated below N_mu.  Rows live
+on the monomials of degree < cap: 465 at the default cap 30, ample at desk
+scale.
 
 A germ that never stabilises by the cap is reported as
 :class:`NotIsolatedError` (non-isolated singularity, or cap too small); a
@@ -199,15 +202,17 @@ def _reduce_insert(row: dict, pivots: dict) -> None:
                 row.pop(m, None)
 
 
-def _stabilized_dimension(generators: Sequence[Mapping], cap: int) -> tuple[int, int]:
+def _stabilized_dimension(generators: Sequence[Mapping], cap: int, pivots: dict) -> tuple[int, int]:
     """First N with dim(N) = dim(N - 1), and that dim, read off one echelon form.
 
     dim(N) = N(N+1)/2 - #(pivots of degree < N) for every N <= cap.  The
     multiple x^a y^b g has order > a + b, so the pivots of degree d are final
     once the multiples with a + b = d - 1 are in, and dim(d + 1) = dim(d)
-    exactly when all d + 1 monomials of degree d are pivots.
+    exactly when all d + 1 monomials of degree d are pivots.  ``pivots`` may
+    already hold the rows of a smaller ideal: the lead order is degree-first,
+    so the pivots of degree < N span the image modulo (x, y)^N of every row
+    inserted, in whatever order.
     """
-    pivots: dict[tuple[int, int], dict] = {}
     below = 0
     for d in range(1, cap):
         for gen in generators:
@@ -224,51 +229,34 @@ def _stabilized_dimension(generators: Sequence[Mapping], cap: int) -> tuple[int,
     )
 
 
-def _ideal_generators(f, cap):
-    """The prologue shared by the numbers below.
+def milnor_number(f, cap: int = DEFAULT_CAP) -> int:
+    """dim of the Jacobian algebra O/(f_x, f_y) at the origin."""
+    return germ_invariants(f, cap).mu
 
-    Coerces the germ and checks the cap, then returns the generators of the
-    Jacobian ideal (f_x, f_y) and of the Tjurina ideal (f, f_x, f_y), or
-    None for a smooth germ, where both numbers are 0.
+
+def tjurina_number(f, cap: int = DEFAULT_CAP) -> int:
+    """dim of O/(f, f_x, f_y) at the origin.
+
+    It needs the cap that mu needs, since tau is read off mu's elimination.
     """
+    return germ_invariants(f, cap).tau
+
+
+def germ_invariants(f, cap: int = DEFAULT_CAP) -> GermInvariants:
+    """Both numbers plus the truncation at which they stabilised."""
     germ = _as_germ(f)
     if not is_integer(cap) or cap < 1:
         raise ValueError(f"cap must be a positive integer, got {cap!r}")
     if _is_smooth(germ):
-        return None
+        return GermInvariants(0, 0, 1)
     # Scaling f by the lcm of its denominators changes neither ideal and makes
     # every generator an integer polynomial.
     coefficients = germ.coefficients()
     scale = lcm(*(c.denominator for c in coefficients.values()))
     poly = {m: c.numerator * (scale // c.denominator) for m, c in coefficients.items()}
-    jacobian = [_partial(poly, 0), _partial(poly, 1)]
-    return jacobian, [poly, *jacobian]
-
-
-def milnor_number(f, cap: int = DEFAULT_CAP) -> int:
-    """dim of the Jacobian algebra O/(f_x, f_y) at the origin."""
-    ideals = _ideal_generators(f, cap)
-    if ideals is None:
-        return 0
-    return _stabilized_dimension(ideals[0], cap)[0]
-
-
-def tjurina_number(f, cap: int = DEFAULT_CAP) -> int:
-    """dim of O/(f, f_x, f_y) at the origin."""
-    ideals = _ideal_generators(f, cap)
-    if ideals is None:
-        return 0
-    return _stabilized_dimension(ideals[1], cap)[0]
-
-
-def germ_invariants(f, cap: int = DEFAULT_CAP) -> GermInvariants:
-    """Both numbers plus the truncation at which they stabilised."""
-    ideals = _ideal_generators(f, cap)
-    if ideals is None:
-        return GermInvariants(0, 0, 1)
-    jacobian, tjurina = ideals
-    mu, used_mu = _stabilized_dimension(jacobian, cap)
-    tau, used_tau = _stabilized_dimension(tjurina, cap)
+    pivots: dict[tuple[int, int], dict] = {}
+    mu, used_mu = _stabilized_dimension([_partial(poly, 0), _partial(poly, 1)], cap, pivots)
+    tau, used_tau = _stabilized_dimension([poly], used_mu, pivots)
     if mu < tau:
         raise AssertionError(f"mu = {mu} < tau = {tau}: elimination bug")
     return GermInvariants(mu, tau, max(used_mu, used_tau))

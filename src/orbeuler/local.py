@@ -393,7 +393,7 @@ def singularity_from_dict(doc) -> LocalSingularity:
         raise ValueError(f"expected a singularity object, got {type(doc).__name__}")
     kind = doc.get("type")
     if kind == "ordinary":
-        return Ordinary(tuple(_field(doc, "coeffs")))
+        return Ordinary(tuple(_list_field(doc, "coeffs")))
     if kind == "cyclic":
         return CyclicQuotient(
             Chain(_field(doc, "n"), _field(doc, "q")),
@@ -401,7 +401,7 @@ def singularity_from_dict(doc) -> LocalSingularity:
             _field(doc, "d2"),
         )
     if kind == "star":
-        arms = _field(doc, "arms")
+        arms = _list_field(doc, "arms")
         return StarQuotient(_field(doc, "b"), tuple(tuple(arm) for arm in arms))
     if kind == "germ_mu_tau":
         return ReducedGerm(_field(doc, "mu"), _field(doc, "tau"))
@@ -412,6 +412,13 @@ def _field(doc, name):
     if name not in doc:
         raise ValueError(f"missing field {name!r} in singularity object")
     return doc[name]
+
+
+def _list_field(doc, name):
+    value = _field(doc, name)
+    if not isinstance(value, list):
+        raise ValueError(f"field {name!r} must be a list, got {type(value).__name__}")
+    return value
 
 
 def singularity_to_dict(s: LocalSingularity) -> dict:

@@ -128,6 +128,19 @@ class TestLocal:
         assert (code, out) == (2, "")
         assert "is not an (n, q, d) triple" in err
 
+    @pytest.mark.parametrize(
+        "doc, field",
+        [
+            ({"type": "ordinary", "coeffs": "11"}, "coeffs"),
+            ({"type": "ordinary", "coeffs": {"1/2": 0, "1/3": 1}}, "coeffs"),
+            ({"type": "star", "b": 1, "arms": {"a": 1}}, "arms"),
+        ],
+    )
+    def test_non_list_field_is_exit_2(self, capsys, doc, field):
+        code, out, err = run(capsys, "local", json.dumps(doc))
+        assert (code, out) == (2, "")
+        assert f"field {field!r} must be a list" in err
+
     def test_invalid_weight_is_exit_2(self, capsys):
         code, _, err = run(capsys, "local", "--ordinary", "3/2")
         assert code == 2
@@ -231,6 +244,14 @@ class TestGlobal:
         code, out, err = run(capsys, "global", json.dumps(doc))
         assert (code, out) == (2, "")
         assert "is not an (n, q, d) triple" in err
+
+    @pytest.mark.parametrize("coeffs", ["11", {"1": 0, "1/1": 0}], ids=["string", "object"])
+    def test_non_list_coeffs_is_exit_2(self, capsys, coeffs):
+        doc = pair_to_dict(concurrent_lines_pair(2, 1))
+        doc["points"][0]["local"]["coeffs"] = coeffs
+        code, out, err = run(capsys, "global", json.dumps(doc))
+        assert (code, out) == (2, "")
+        assert "field 'coeffs' must be a list" in err
 
     @pytest.mark.parametrize(
         "pairings, named",

@@ -119,6 +119,10 @@ def engine_invariants(germ, cap):
     return invariants.mu, invariants.tau, invariants.truncation_used
 
 
+def engine_numbers(germ, cap):
+    return milnor_number(germ, cap), tjurina_number(germ, cap)
+
+
 class TestRestartOracle:
     @pytest.mark.parametrize(
         "germ",
@@ -135,6 +139,8 @@ class TestRestartOracle:
             if cap >= 1:
                 expected = outcome(restart_invariants, germ, cap)
                 assert outcome(engine_invariants, germ, cap) == expected, cap
+                numbers = expected if expected is NotIsolatedError else expected[:2]
+                assert outcome(engine_numbers, germ, cap) == numbers, cap
 
     @pytest.mark.parametrize("text", NON_ISOLATED_FORMS)
     def test_both_refuse_non_isolated(self, text):
@@ -210,7 +216,9 @@ def test_quasi_homogeneous_germs_have_mu_equal_tau(a, b, data):
     assert invariants.mu == invariants.tau
 
 
-def test_pivot_rows_are_primitive_integer_rows(monkeypatch):
+@pytest.fixture
+def pivot_tables(monkeypatch):
+    """Every pivot table the engine inserts a row into, once per insertion."""
     tables = []
     reduce_insert = engine._reduce_insert
 
@@ -219,10 +227,19 @@ def test_pivot_rows_are_primitive_integer_rows(monkeypatch):
         reduce_insert(row, pivots)
 
     monkeypatch.setattr(engine, "_reduce_insert", recording)
+    return tables
+
+
+def test_one_pivot_table_per_germ(pivot_tables):
+    assert engine_invariants(PERTURBED_GERM, DEFAULT_CAP)[:2] == (12, PERTURBED_TAU)
+    assert len({id(t) for t in pivot_tables}) == 1
+
+
+def test_pivot_rows_are_primitive_integer_rows(pivot_tables):
     assert engine_invariants("6x^4-10/3y^6+15x^2y^3", DEFAULT_CAP) == restart_invariants(
         CurveGerm.parse("6x^4-10/3y^6+15x^2y^3"), DEFAULT_CAP
     )
-    rows = [row for pivots in {id(t): t for t in tables}.values() for row in pivots.values()]
+    rows = [row for pivots in {id(t): t for t in pivot_tables}.values() for row in pivots.values()]
     assert len(rows) > 50
     for row in rows:
         assert all(type(c) is int for c in row.values())
@@ -300,6 +317,12 @@ class TestTjurina:
         for form in ("x^2+y^3", "x^3+xy^3"):
             invariants = germ_invariants(form)
             assert invariants.mu == invariants.tau
+
+    def test_needs_the_cap_mu_needs(self):
+        # tau stabilises at N = 6 and mu at N = 7; tau is read off mu's elimination.
+        with pytest.raises(NotIsolatedError):
+            tjurina_number(PERTURBED_GERM, 6)
+        assert tjurina_number(PERTURBED_GERM, 7) == PERTURBED_TAU
 
     def test_stable_under_larger_cap(self):
         base = germ_invariants(PERTURBED_GERM)
