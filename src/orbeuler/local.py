@@ -30,10 +30,13 @@ modelled here:
     A reduced plane curve germ taken with weight 1, summarised by its Milnor
     and Tjurina numbers; the value is ``mu - tau``.
 
-Values are exact rationals.  Evaluators return :class:`EulerValue`, which
-couples the number with its exactness kind and a log-canonicity flag; that
-flag is the only lc verdict in the library, and callers must propagate the
-``UPPER_BOUND`` kind.  Non log canonical germs report the exact value 0.
+Values are exact rationals.  Evaluation runs on integers: each class puts
+its weights over one common denominator, decides every branch by integer
+comparisons and builds exactly one ``Fraction`` per value.  Evaluators
+return :class:`EulerValue`, which couples the number with its exactness kind
+and a log-canonicity flag; that flag is the only lc verdict in the library,
+and callers must propagate the ``UPPER_BOUND`` kind.  Non log canonical germs
+report the exact value 0.
 Everything here is immutable and pure, so unrestricted concurrent use is
 safe.
 """
@@ -43,6 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import lcm
 from typing import Union
 
 from .rationals import Chain, ChainError, as_rational, format_rational, is_integer
@@ -97,9 +101,9 @@ class EulerValue:
         object.__setattr__(self, "value", as_rational(self.value))
         if not isinstance(self.exactness, Exactness):
             raise TypeError("exactness must be an Exactness member")
-        if not self.lc and self.value != 0:
+        if not self.lc and self.value.numerator != 0:
             raise ValueError("a non log canonical germ must report value 0")
-        if self.lc and self.value > 1:
+        if self.lc and self.value.numerator > self.value.denominator:
             raise ValueError("a log canonical local value never exceeds 1")
 
     @property
@@ -112,7 +116,7 @@ class EulerValue:
 
 def _weight(value) -> Fraction:
     w = as_rational(value)
-    if not 0 <= w <= 1:
+    if not 0 <= w.numerator <= w.denominator:
         raise ValueError(f"boundary weight {format_rational(w)} outside [0, 1]")
     return w
 
@@ -254,18 +258,21 @@ def euler_ordinary(coeffs) -> EulerValue:
     # A weight-0 branch does not change the underlying divisor; dropping such
     # branches keeps both the value and the exactness kind stable under
     # padding with zeros.
-    weights = sorted(c for c in point.coeffs if c)
+    weights = [c for c in point.coeffs if c.numerator]
     if not weights:
         return EulerValue(Fraction(1), Exactness.EXACT, True)
-    a = sum(weights)
-    top = weights[-1]
-    if a > 2:
+    # Over den = lcm of the denominators, a = total/den and a_n = top/den.
+    den = lcm(*(w.denominator for w in weights))
+    scaled = [w.numerator * (den // w.denominator) for w in weights]
+    total = sum(scaled)
+    top = max(scaled)
+    if total > 2 * den:
         return EulerValue(Fraction(0), Exactness.EXACT, False)
-    if 2 * top >= a:
-        return EulerValue((1 - a + top) * (1 - top), Exactness.EXACT, True)
-    if len(weights) <= 3:
-        return EulerValue((a - 2) ** 2 / 4, Exactness.EXACT, True)
-    return EulerValue((1 - a / 2) ** 2, Exactness.UPPER_BOUND, True)
+    if 2 * top >= total:
+        return EulerValue(Fraction((den - total + top) * (den - top), den * den), Exactness.EXACT, True)
+    # (a - 2)^2 / 4, exact for at most three branches and an upper bound beyond.
+    kind = Exactness.EXACT if len(weights) <= 3 else Exactness.UPPER_BOUND
+    return EulerValue(Fraction((2 * den - total) ** 2, 4 * den * den), kind, True)
 
 
 def euler_cyclic(chain, d1, d2) -> EulerValue:
@@ -285,22 +292,43 @@ def validate_star(b, arms) -> StarValidation:
     Raises :class:`NotQuotientError` when b0 <= 0 or no assignment exists;
     the Euler value itself never depends on the assignment found.
     """
-    return _validate_star(StarQuotient(b, tuple(arms)))
+    star = StarQuotient(b, tuple(arms))
+    b0_num, b0_den, shares, den, triple, multipliers = _star_numbers(star)
+    invariants = StarInvariants(
+        Fraction(b0_num, b0_den), Fraction(sum(shares), den), Fraction(min(shares), den)
+    )
+    return StarValidation(invariants, triple, multipliers)
 
 
-def _validate_star(star: StarQuotient) -> StarValidation:
-    b0 = star.b - sum(Fraction(arm.q, arm.n) for arm in star.arms)
-    if b0 <= 0:
-        raise NotQuotientError(f"b0 = {format_rational(b0)} <= 0: the central curve does not contract")
-    shares = [(1 - arm.d) / arm.n for arm in star.arms]
-    invariants = StarInvariants(b0, sum(shares), min(shares))
+def _star_numbers(star: StarQuotient) -> tuple:
+    """A star's invariants as integers, and its polyhedral assignment.
+
+    Returns ``(b0_num, b0_den, shares, den, triple, multipliers)``: b0 is
+    ``b0_num / b0_den`` over b0_den = lcm n_i, and the share (1 - d_i)/n_i of
+    arm i is ``shares[i] / den`` over one common denominator.  Raises
+    :class:`NotQuotientError` when b0 <= 0, and then when no assignment exists.
+    """
     ns = tuple(arm.n for arm in star.arms)
+    b0_den = lcm(*ns)
+    b0_num = star.b * b0_den - sum(arm.q * (b0_den // arm.n) for arm in star.arms)
+    if b0_num <= 0:
+        b0 = format_rational(Fraction(b0_num, b0_den))
+        raise NotQuotientError(f"b0 = {b0} <= 0: the central curve does not contract")
+    triple, multipliers = _polyhedral_assignment(ns)
+    dens = [arm.d.denominator * arm.n for arm in star.arms]
+    den = lcm(*dens)
+    shares = [(arm.d.denominator - arm.d.numerator) * (den // d) for arm, d in zip(star.arms, dens)]
+    return b0_num, b0_den, shares, den, triple, multipliers
+
+
+def _polyhedral_assignment(ns: tuple) -> tuple:
+    """The triple and multipliers of :func:`validate_star` for arm orders ``ns``."""
     for m1 in range(1, 5 // ns[0] + 1):
         for m2 in range(1, 5 // ns[1] + 1):
             for m3 in range(1, 5 // ns[2] + 1):
                 triple = tuple(sorted((ns[0] * m1, ns[1] * m2, ns[2] * m3)))
                 if triple in _EXCEPTIONAL_TRIPLES:
-                    return StarValidation(invariants, triple, (m1, m2, m3))
+                    return triple, (m1, m2, m3)
     for i, j in ((0, 1), (0, 2), (1, 2)):
         if ns[i] <= 2 and ns[j] <= 2:
             k = 3 - i - j
@@ -309,7 +337,7 @@ def _validate_star(star: StarQuotient) -> StarValidation:
             multipliers[j] = 2 // ns[j]
             multipliers[k] = 1 if ns[k] >= 2 else 2
             triple = tuple(sorted((2, 2, ns[k] * multipliers[k])))
-            return StarValidation(invariants, triple, tuple(multipliers))
+            return triple, tuple(multipliers)
     raise NotQuotientError(f"no polyhedral assignment for arm orders {ns}")
 
 
@@ -363,14 +391,24 @@ def euler_local(s: LocalSingularity) -> EulerValue:
     if isinstance(s, Ordinary):
         return euler_ordinary(s)
     if isinstance(s, CyclicQuotient):
-        return EulerValue((1 - s.d1) * (1 - s.d2) / s.chain.n, Exactness.EXACT, True)
+        d1, d2 = s.d1, s.d2
+        value = Fraction(
+            (d1.denominator - d1.numerator) * (d2.denominator - d2.numerator),
+            d1.denominator * d2.denominator * s.chain.n,
+        )
+        return EulerValue(value, Exactness.EXACT, True)
     if isinstance(s, StarQuotient):
-        inv = _validate_star(s).invariants
-        if inv.alpha < 1:
+        # alpha = total/den, beta = least/den and b0 = b0_num/b0_den.
+        b0_num, b0_den, shares, den, _, _ = _star_numbers(s)
+        total = sum(shares)
+        least = min(shares)
+        if total < den:
             return EulerValue(Fraction(0), Exactness.EXACT, False)
-        if inv.alpha < 2 * inv.beta + 1:
-            return EulerValue((inv.alpha - 1) ** 2 / (4 * inv.b0), Exactness.EXACT, True)
-        return EulerValue((inv.alpha - 1 - inv.beta) * inv.beta / inv.b0, Exactness.EXACT, True)
+        if total < 2 * least + den:
+            value = Fraction((total - den) ** 2 * b0_den, 4 * den * den * b0_num)
+        else:
+            value = Fraction((total - den - least) * least * b0_den, den * den * b0_num)
+        return EulerValue(value, Exactness.EXACT, True)
     if isinstance(s, ReducedGerm):
         difference = s.mu - s.tau
         if difference > 1:

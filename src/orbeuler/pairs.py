@@ -40,7 +40,6 @@ mode with user-supplied pairings and a user-asserted effectivity flag.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -130,7 +129,7 @@ class ComponentData:
         if not isinstance(self.id, str) or not self.id:
             raise ValueError(f"component id must be a nonempty string, got {self.id!r}")
         coeff = as_rational(self.coeff)
-        if not 0 <= coeff <= 1:
+        if not 0 <= coeff.numerator <= coeff.denominator:
             raise ValueError(
                 f"component {self.id}: weight {format_rational(coeff)} outside [0, 1]"
             )
@@ -190,7 +189,7 @@ class SingularPointData:
             normalized.append((component_id, branches))
         object.__setattr__(self, "incident", tuple(normalized))
         multiplicity = as_rational(self.multiplicity)
-        if multiplicity < 0:
+        if multiplicity.numerator < 0:
             raise ValueError(f"point {self.id}: multiplicity must be nonnegative")
         object.__setattr__(self, "multiplicity", multiplicity)
 
@@ -313,27 +312,51 @@ def euler_orbifold_global(pair: PairDescription) -> GlobalEuler:
     A point on no component is refused, before its germ is evaluated, unless
     its germ carries no boundary weight and its m_P is 0.
     """
-    germs = {}  # distinct germ -> [its local value, number of points carrying it]
     branches = {component.id: 0 for component in pair.components}
-    for point in pair.points:
-        if not point.incident and (point.multiplicity or any(_boundary_weights(point.local))):
-            raise ValueError(
-                f"point {point.id} lies on no component, so its germ must carry no "
-                "boundary weight and its m_P must be 0"
-            )
-        seen = germs.get(point.local)
-        if seen is None:
-            seen = germs[point.local] = [euler_local(point.local), 0]
-        seen[1] += 1
-        for component_id, count in point.incident:
-            branches[component_id] += count
+
+    def point_germs():
+        for point in pair.points:
+            if not point.incident and (point.multiplicity or any(_boundary_weights(point.local))):
+                raise ValueError(
+                    f"point {point.id} lies on no component, so its germ must carry no "
+                    "boundary weight and its m_P must be 0"
+                )
+            for component_id, count in point.incident:
+                branches[component_id] += count
+            yield point.local
+
+    germs = _tally(point_germs(), euler_local)
     base = pair.surface.e_top + sum(
         (c.coeff * (2 * c.genus - 2 + branches[c.id]) for c in pair.components), Fraction(0)
     )
-    total = base + sum((count * (value.value - 1) for value, count in germs.values()), Fraction(0))
-    exact = all(value.is_exact for value, _ in germs.values())
-    lc = all(value.lc for value, _ in germs.values())
+    total = base + sum((count * (value.value - 1) for value, count in germs), Fraction(0))
+    exact = all(value.is_exact for value, _ in germs)
+    lc = all(value.lc for value, _ in germs)
     return GlobalEuler(total, Exactness.EXACT if exact else Exactness.UPPER_BOUND, lc, base)
+
+
+def _tally(objects, make) -> list:
+    """``[make(x), count]`` per distinct x among ``objects``, in order of first
+    occurrence; equal objects are counted together, and ``make`` runs once
+    per distinct value, when it first occurs.
+
+    Each object is hashed once.  Hashing a germ or an m_P hashes its
+    Fractions, which is slow; :func:`pair_from_dict` shares one object per
+    literal, so objects are grouped by identity first, and only an object not
+    seen before is looked up by equality.  Every object seen is kept
+    referenced until the end, so no identity is reused meanwhile.
+    """
+    by_value = {}
+    by_identity = {}  # id(x) -> (x, its entry in by_value)
+    for obj in objects:
+        known = by_identity.get(id(obj))
+        if known is None:
+            entry = by_value.setdefault(obj, [None, 0])  # the one hash of obj
+            if not entry[1]:
+                entry[0] = make(obj)
+            known = by_identity[id(obj)] = (obj, entry)
+        known[1][1] += 1
+    return list(by_value.values())
 
 
 def pair_kd_squared(pair: PairDescription) -> Fraction:
@@ -408,8 +431,8 @@ def check_bmy(pair: PairDescription) -> BmyReport:
     elif not pair.effective:
         notes.append("effectivity of a multiple of K+D was not asserted")
 
-    m_counts = Counter(point.multiplicity for point in pair.points)
-    m_terms = sum((count * (m**2 / 4 - m) for m, count in m_counts.items()), Fraction(0))
+    m_counts = _tally((point.multiplicity for point in pair.points), lambda m: m)
+    m_terms = sum((count * (m**2 / 4 - m) for m, count in m_counts), Fraction(0))
     mult_rhs = 3 * (global_value.base + m_terms)
     mult_verdict, mult_equality = _compare(rhs, mult_rhs, exact=True, notes=notes)
     multiplicities = IneqReport(rhs, mult_rhs, mult_rhs - rhs, mult_verdict, mult_equality, tuple(notes))

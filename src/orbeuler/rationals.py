@@ -18,6 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 __all__ = [
@@ -44,8 +45,14 @@ def is_integer(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+@lru_cache(maxsize=4096)
 def parse_rational(text: str) -> Fraction:
-    """Parse a rational literal ``"p/q"`` or ``"p"``."""
+    """Parse a rational literal ``"p/q"`` or ``"p"``.
+
+    Each distinct literal is parsed once while it stays among the last 4096
+    parsed; ``Fraction`` is immutable, so callers may share the result.  A
+    literal that raises is not remembered and raises again on every call.
+    """
     s = text.strip()
     if not _LITERAL.match(s):
         raise ValueError(f"not a rational literal: {text!r}")

@@ -1,8 +1,9 @@
 from fractions import Fraction as F
-from math import gcd
+from itertools import product
+from math import gcd, lcm
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbeuler import (
@@ -15,13 +16,17 @@ from orbeuler import (
     Ordinary,
     ReducedGerm,
     StarArm,
+    StarInvariants,
     StarQuotient,
+    StarValidation,
+    as_rational,
     cover_degree,
     euler_cyclic,
     euler_local,
     euler_ordinary,
     euler_ordinary3_cover_oracle,
     euler_star,
+    format_rational,
     singularity_from_dict,
     singularity_to_dict,
     validate_star,
@@ -47,6 +52,286 @@ ADE_STARS = {
     "E7": (2, ((2, 1, 0), (3, 2, 0), (4, 3, 0)), (2, 3, 4), F(1, 48)),
     "E8": (2, ((2, 1, 0), (3, 2, 0), (5, 4, 0)), (2, 3, 5), F(1, 120)),
 }
+
+
+# The Fraction evaluators that the integer ones replaced, kept as the oracle.
+
+
+def ordinary_oracle(coeffs):
+    weights = sorted(c for c in coeffs if c)
+    if not weights:
+        return F(1), Exactness.EXACT, True
+    a = sum(weights)
+    top = weights[-1]
+    if a > 2:
+        return F(0), Exactness.EXACT, False
+    if 2 * top >= a:
+        return (1 - a + top) * (1 - top), Exactness.EXACT, True
+    if len(weights) <= 3:
+        return (a - 2) ** 2 / 4, Exactness.EXACT, True
+    return (1 - a / 2) ** 2, Exactness.UPPER_BOUND, True
+
+
+_EXCEPTIONAL_TRIPLES = ((2, 3, 3), (2, 3, 4), (2, 3, 5))
+
+
+def star_validation_oracle(star):
+    b0 = star.b - sum(F(arm.q, arm.n) for arm in star.arms)
+    if b0 <= 0:
+        raise NotQuotientError(f"b0 = {format_rational(b0)} <= 0: the central curve does not contract")
+    shares = [(1 - arm.d) / arm.n for arm in star.arms]
+    invariants = StarInvariants(b0, sum(shares), min(shares))
+    ns = tuple(arm.n for arm in star.arms)
+    for m1 in range(1, 5 // ns[0] + 1):
+        for m2 in range(1, 5 // ns[1] + 1):
+            for m3 in range(1, 5 // ns[2] + 1):
+                triple = tuple(sorted((ns[0] * m1, ns[1] * m2, ns[2] * m3)))
+                if triple in _EXCEPTIONAL_TRIPLES:
+                    return StarValidation(invariants, triple, (m1, m2, m3))
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        if ns[i] <= 2 and ns[j] <= 2:
+            k = 3 - i - j
+            multipliers = [0, 0, 0]
+            multipliers[i] = 2 // ns[i]
+            multipliers[j] = 2 // ns[j]
+            multipliers[k] = 1 if ns[k] >= 2 else 2
+            triple = tuple(sorted((2, 2, ns[k] * multipliers[k])))
+            return StarValidation(invariants, triple, tuple(multipliers))
+    raise NotQuotientError(f"no polyhedral assignment for arm orders {ns}")
+
+
+def star_oracle(star):
+    inv = star_validation_oracle(star).invariants
+    if inv.alpha < 1:
+        return F(0), Exactness.EXACT, False
+    if inv.alpha < 2 * inv.beta + 1:
+        return (inv.alpha - 1) ** 2 / (4 * inv.b0), Exactness.EXACT, True
+    return (inv.alpha - 1 - inv.beta) * inv.beta / inv.b0, Exactness.EXACT, True
+
+
+def oracle(germ) -> EulerValue:
+    if isinstance(germ, Ordinary):
+        return EulerValue(*ordinary_oracle(germ.coeffs))
+    if isinstance(germ, CyclicQuotient):
+        return EulerValue((1 - germ.d1) * (1 - germ.d2) / germ.chain.n, Exactness.EXACT, True)
+    return EulerValue(*star_oracle(germ))
+
+
+def coprime_residue(n, k):
+    """The k-th residue q in [0, n) coprime to n, cyclically."""
+    residues = [q for q in range(n) if gcd(n, q) == 1]
+    return residues[k % len(residues)]
+
+
+def _polyhedral(ns):
+    try:
+        star_validation_oracle(star(3, [(n, 1 % n, 0) for n in ns]))
+    except NotQuotientError:
+        return False
+    return True
+
+
+# Sorted arm orders up to 6 that some star accepts; b = 3 exceeds every sum of q/n.
+POLYHEDRAL_ORDERS = [ns for ns in product(range(1, 7), repeat=3) if ns == tuple(sorted(ns)) and _polyhedral(ns)]
+
+
+@st.composite
+def arm_orders(draw):
+    """Polyhedral arm orders, any orders up to 6, or a dihedral (2, 2, n) up to 60."""
+    polyhedral = st.sampled_from(POLYHEDRAL_ORDERS)
+    small = st.tuples(*[st.integers(1, 6)] * 3)
+    dihedral = st.integers(2, 60).map(lambda n: (2, 2, n))
+    return tuple(draw(st.permutations(draw(st.one_of(polyhedral, small, dihedral)))))
+
+
+@st.composite
+def any_stars(draw):
+    """Stars with b0 on either side of 0 and any arm orders."""
+    arms = tuple(
+        (n, coprime_residue(n, draw(st.integers(0, 30))), draw(weights)) for n in draw(arm_orders())
+    )
+    least_b = int(sum(F(q, n) for n, q, _ in arms)) + 1
+    return star(draw(st.integers(max(least_b - 1, 1), least_b + 2)), arms)
+
+
+# k weights of at most 5/(2k) keep the sum a near 2, where the ordinary formulas switch.
+ordinary_points = st.one_of(
+    st.lists(weights, min_size=1, max_size=7),
+    st.integers(1, 7).flatmap(
+        lambda k: st.lists(
+            st.fractions(min_value=0, max_value=min(1, F(5, 2 * k)), max_denominator=24), min_size=k, max_size=k
+        )
+    ),
+).map(lambda ws: Ordinary(tuple(ws)))
+cyclic_points = st.integers(1, 60).flatmap(
+    lambda n: st.builds(
+        CyclicQuotient, st.integers(0, 30).map(lambda k: Chain(n, coprime_residue(n, k))), weights, weights
+    )
+)
+
+
+class TestIntegerEvaluationOracle:
+    @staticmethod
+    def assert_matches(germ):
+        try:
+            expected = oracle(germ)
+        except NotQuotientError as error:
+            with pytest.raises(NotQuotientError) as caught:
+                euler_local(germ)
+            assert str(caught.value) == str(error)
+            return
+        value = euler_local(germ)
+        assert type(value.value) is F
+        assert (value.value, value.exactness, value.lc) == (expected.value, expected.exactness, expected.lc)
+
+    @settings(max_examples=300)
+    @given(ordinary_points)
+    def test_ordinary_property(self, germ):
+        self.assert_matches(germ)
+
+    @given(cyclic_points)
+    def test_cyclic_property(self, germ):
+        self.assert_matches(germ)
+
+    @settings(max_examples=300)
+    @given(any_stars())
+    def test_star_property(self, germ):
+        self.assert_matches(germ)
+
+    @given(any_stars())
+    def test_validation_matches(self, germ):
+        try:
+            expected = star_validation_oracle(germ)
+        except NotQuotientError as error:
+            with pytest.raises(NotQuotientError) as caught:
+                validate_star(germ.b, germ.arms)
+            assert str(caught.value) == str(error)
+            return
+        assert validate_star(germ.b, germ.arms) == expected
+
+    @pytest.mark.parametrize(
+        "coeffs",
+        [
+            (F(1), F(1, 2), F(1, 2)),  # a = 2, dominant
+            (F(2, 3),) * 3,  # a = 2, balanced
+            (F(1, 2),) * 4,  # a = 2, four branches
+            (F(1), F(1, 2), F(1, 2), F(1, 100)),  # just above a = 2
+            (F(2, 5), F(1, 5), F(1, 5)),  # 2 a_n = a
+            (F(1, 2), F(1, 4), F(1, 8), F(1, 8)),  # 2 a_n = a, four branches
+            (F(0),),
+            (F(0), F(0), F(0)),
+            (F(1),),
+            (F(1), F(1, 3)),
+            (F(1, 3),) * 4,
+            (F(1, 4),) * 5,
+            (F(2, 7), F(1, 5), F(3, 11), F(1, 4), F(2, 9), F(1, 6)),
+        ],
+    )
+    def test_ordinary_boundaries(self, coeffs):
+        self.assert_matches(Ordinary(coeffs))
+
+    def test_ordinary_boundary_values(self):
+        assert euler_local(Ordinary((F(1), F(1, 2), F(1, 2)))) == EulerValue(F(0), Exactness.EXACT, True)
+        assert euler_local(Ordinary((F(2, 3),) * 3)) == EulerValue(F(0), Exactness.EXACT, True)
+        assert euler_local(Ordinary((F(1, 2),) * 4)) == EulerValue(F(0), Exactness.UPPER_BOUND, True)
+        assert euler_local(Ordinary((F(0), F(0)))) == EulerValue(F(1), Exactness.EXACT, True)
+        assert euler_local(Ordinary((F(1),))) == EulerValue(F(0), Exactness.EXACT, True)
+        assert euler_local(Ordinary((F(1, 4),) * 5)) == EulerValue(F(9, 64), Exactness.UPPER_BOUND, True)
+
+    @pytest.mark.parametrize(
+        "alpha, value, lc",
+        [(F(5, 6), F(0), True), (F(1, 6), F(2, 3), True), (F(6, 7), F(0), False), (F(0), F(1), True)],
+        ids=["alpha=1", "alpha=2beta+1", "alpha<1", "alpha=7/6"],
+    )
+    def test_star_boundaries(self, alpha, value, lc):
+        germ = cusp(alpha)
+        self.assert_matches(germ)
+        assert euler_local(germ) == EulerValue(value, Exactness.EXACT, lc)
+
+    @pytest.mark.parametrize("n", range(2, 61))
+    def test_dihedral_b0_one_over_n(self, n):
+        # D_{n+2}: b0 = 1/n = 1/lcm(2, 2, n) and e_orb = 1/|G| for the binary
+        # dihedral group of order 4n.
+        germ = star(2, ((2, 1, 0), (2, 1, 0), (n, n - 1, 0)))
+        validation = validate_star(germ.b, germ.arms)
+        assert validation.invariants == StarInvariants(F(1, n), 1 + F(1, n), F(1, n))
+        assert validation == star_validation_oracle(germ)
+        assert euler_local(germ) == EulerValue(F(1, 4 * n), Exactness.EXACT, True)
+        self.assert_matches(germ)
+
+    def test_exceptional_b0_one_over_lcm(self):
+        for name, (b, arms, _, expected) in ADE_STARS.items():
+            germ = star(b, arms)
+            assert validate_star(b, germ.arms).invariants.b0 == F(1, lcm(*(n for n, _, _ in arms))), name
+            assert euler_local(germ).value == expected, name
+            self.assert_matches(germ)
+
+    @pytest.mark.parametrize("d1, d2", [(F(0), F(0)), (F(1, 2), F(1, 3)), (F(1), F(2, 7)), (F(3, 4), F(1))])
+    def test_cyclic_n_one(self, d1, d2):
+        germ = CyclicQuotient(Chain(1, 0), d1, d2)
+        assert euler_local(germ).value == (1 - d1) * (1 - d2)
+        self.assert_matches(germ)
+
+
+class TestUnchangedRefusals:
+    @pytest.mark.parametrize("bad", [F(3, 2), F(-1, 2), "5/4", "-1", 2])
+    def test_weight_outside_unit_interval(self, bad):
+        expected = f"boundary weight {format_rational(as_rational(bad))} outside \\[0, 1\\]"
+        with pytest.raises(ValueError, match=expected):
+            Ordinary((F(1, 2), bad))
+        with pytest.raises(ValueError, match=expected):
+            CyclicQuotient(Chain(3, 1), F(0), bad)
+        with pytest.raises(ValueError, match=expected):
+            star(1, CUSP_ARMS + ((1, 0, bad),))
+
+    @pytest.mark.parametrize(
+        "b, arms, b0",
+        [
+            (1, ((2, 1, 0), (3, 2, 0), (5, 4, 0)), "-29/30"),
+            (1, ((2, 1, 0), (2, 1, 0), (1, 0, 0)), "0"),
+            (2, ((5, 4, 0), (5, 4, 0), (5, 4, 0)), "-2/5"),  # not polyhedral either
+        ],
+    )
+    def test_b0_refused_first(self, b, arms, b0):
+        message = f"^b0 = {b0} <= 0: the central curve does not contract$"
+        with pytest.raises(NotQuotientError, match=message):
+            validate_star(b, star(b, arms).arms)
+        with pytest.raises(NotQuotientError, match=message):
+            euler_local(star(b, arms))
+
+    def test_non_polyhedral_refused_after_b0(self):
+        germ = star(3, ((5, 4, 0), (5, 4, 0), (5, 4, 0)))
+        message = r"^no polyhedral assignment for arm orders \(5, 5, 5\)$"
+        with pytest.raises(NotQuotientError, match=message):
+            validate_star(germ.b, germ.arms)
+        with pytest.raises(NotQuotientError, match=message):
+            euler_local(germ)
+
+    @pytest.mark.parametrize("bad", [0.5, 1.0, True, False])
+    def test_floats_and_bools_refused(self, bad):
+        with pytest.raises(TypeError):
+            Ordinary((bad,))
+        with pytest.raises(TypeError):
+            CyclicQuotient(Chain(2, 1), bad, F(0))
+        with pytest.raises(TypeError):
+            EulerValue(bad, Exactness.EXACT, True)
+
+    def test_zero_denominator_refused_on_every_call(self):
+        for _ in range(3):
+            with pytest.raises(ValueError, match="zero denominator"):
+                Ordinary(("1/0",))
+            with pytest.raises(ValueError, match="zero denominator"):
+                singularity_from_dict({"type": "cyclic", "n": 2, "q": 1, "d1": "1/0", "d2": "0"})
+
+    def test_validation_invariants_are_the_fraction_triple(self):
+        germ = star(3, ((2, 1, F(4, 9)), (2, 1, F(1, 5)), (55, 19, F(0))))
+        expected = StarInvariants(
+            3 - F(1, 2) - F(1, 2) - F(19, 55),
+            (1 - F(4, 9)) / 2 + (1 - F(1, 5)) / 2 + F(1, 55),
+            F(1, 55),
+        )
+        assert validate_star(germ.b, germ.arms).invariants == expected
+        assert validate_star(germ.b, germ.arms) == star_validation_oracle(germ)
 
 
 class TestEulerValue:

@@ -383,6 +383,21 @@ class TestGrouping:
             list(report.multiplicities.notes),
         ) == per_point_bmy(pair)
 
+    def test_each_germ_object_hashed_once(self, monkeypatch):
+        # The quadrilateral's points carry equal germs and m_P that are
+        # distinct objects; the copies share their original's objects, as
+        # points built by pair_from_dict share one object per literal.
+        pair = quadrilateral_pair()
+        copies = [replace(point, id=f"{point.id}/{i}") for i in range(3) for point in pair.points]
+        pair = replace(pair, points=pair.points + tuple(copies))
+        hashes = []
+        unhashed = Ordinary.__hash__
+        monkeypatch.setattr(Ordinary, "__hash__", lambda germ: hashes.append(id(germ)) or unhashed(germ))
+        report = check_bmy(pair)
+        assert sorted(hashes) == sorted({id(point.local) for point in pair.points})
+        monkeypatch.undo()
+        assert (report.global_value.value, report.multiplicities.rhs) == paper_formula(pair)
+
 
 # Germs that put no boundary weight at their point, with their local values.
 OFF_BOUNDARY_GERMS = {

@@ -29,6 +29,23 @@ class TestParsing:
         with pytest.raises(ValueError):
             parse_rational("1/0")
 
+    def test_bad_literal_rejected_on_every_call(self):
+        # Parses are memoised, errors are not: a repeated bad literal keeps
+        # raising its own message.
+        for bad, message in (("1/0", "zero denominator"), ("1.5", "not a rational literal")):
+            for _ in range(3):
+                with pytest.raises(ValueError, match=message):
+                    parse_rational(bad)
+                with pytest.raises(ValueError, match=message):
+                    as_rational(bad)
+
+    def test_each_literal_parsed_once_in_a_bounded_cache(self):
+        assert parse_rational.cache_info().maxsize is not None
+        first = parse_rational("22/7")
+        assert parse_rational("22/7") is first
+        assert as_rational("22/7") is first
+        assert parse_rational("44/14") == first
+
     @pytest.mark.parametrize("bad", ["", "1.5", "x", "1/-2", "2/3/4", "1e3"])
     def test_malformed_rejected(self, bad):
         with pytest.raises(ValueError):
