@@ -22,11 +22,11 @@ be good, because each probed alpha yields a theorem-backed bound on its own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 from typing import Mapping
 
+from ._record import record
 from .rationals import Chain, as_rational, format_rational, is_integer, rat_ceil, rat_floor
 
 __all__ = [
@@ -48,7 +48,7 @@ class InvalidArrangementError(ValueError):
     """The t_r vector cannot come from k distinct lines in the plane."""
 
 
-@dataclass(frozen=True)
+@record
 class ArrangementData:
     """k distinct lines with t_r points lying on exactly r of them.
 
@@ -95,7 +95,7 @@ class ArrangementData:
         return cls(k, tuple((int(r), count) for r, count in t.items()))
 
 
-@dataclass(frozen=True)
+@record
 class ArrangementReport:
     k: int
     verdict: str  # "holds" | "hypothesis-not-met" | "violation"
@@ -259,7 +259,7 @@ def canonical_degree_bound(c1_sq: int, c2: int, genus: int, ordinary: bool) -> F
     )
 
 
-@dataclass(frozen=True)
+@record
 class BudgetReport:
     lhs: Fraction
     rhs: Fraction

@@ -31,11 +31,11 @@ comparison theorem.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
+from ._record import record
 from .rationals import as_rational, format_rational, is_integer, parse_rational
 
 __all__ = [
@@ -68,7 +68,7 @@ _MONOMIAL = re.compile(
 )
 
 
-@dataclass(frozen=True)
+@record
 class CurveGerm:
     """``f = sum c_ij x^i y^j`` with rational coefficients and f(0, 0) = 0."""
 
@@ -142,7 +142,7 @@ class CurveGerm:
         return out.replace("+ -", "- ")
 
 
-@dataclass(frozen=True)
+@record
 class GermInvariants:
     mu: int
     tau: int

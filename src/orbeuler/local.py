@@ -43,12 +43,12 @@ safe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import lcm
 from typing import Union
 
+from ._record import record
 from .rationals import Chain, ChainError, as_rational, format_rational, is_integer
 
 __all__ = [
@@ -85,7 +85,7 @@ class Exactness(Enum):
     UPPER_BOUND = "upper-bound"
 
 
-@dataclass(frozen=True)
+@record
 class EulerValue:
     """A local value together with its exactness kind and lc status.
 
@@ -131,7 +131,7 @@ def _as_chain(chain) -> Chain:
     return Chain(n, q)
 
 
-@dataclass(frozen=True)
+@record
 class Ordinary:
     """An ordinary point: smooth branches with pairwise distinct tangents."""
 
@@ -144,7 +144,7 @@ class Ordinary:
         object.__setattr__(self, "coeffs", vals)
 
 
-@dataclass(frozen=True)
+@record
 class CyclicQuotient:
     """Chain type <n, q> with boundary weights d1, d2 on the end curves."""
 
@@ -158,7 +158,7 @@ class CyclicQuotient:
         object.__setattr__(self, "d2", _weight(self.d2))
 
 
-@dataclass(frozen=True)
+@record
 class StarArm:
     """One arm of a star: a chain <n, q> whose outer end carries weight d."""
 
@@ -178,7 +178,7 @@ class StarArm:
         return self.chain.q
 
 
-@dataclass(frozen=True)
+@record
 class StarQuotient:
     """Central curve of self-intersection -b with exactly three arms."""
 
@@ -202,7 +202,7 @@ def _star_arm(entry) -> StarArm:
     return StarArm(Chain(n, q), d)
 
 
-@dataclass(frozen=True)
+@record
 class ReducedGerm:
     """A weight-1 reduced curve germ, recorded by its Milnor/Tjurina pair."""
 
@@ -220,7 +220,7 @@ class ReducedGerm:
 LocalSingularity = Union[Ordinary, CyclicQuotient, StarQuotient, ReducedGerm]
 
 
-@dataclass(frozen=True)
+@record
 class StarInvariants:
     """b0 = b - sum q_i/n_i, alpha = sum (1-d_i)/n_i, beta = min (1-d_i)/n_i."""
 
@@ -229,14 +229,14 @@ class StarInvariants:
     beta: Fraction
 
 
-@dataclass(frozen=True)
+@record
 class StarValidation:
     invariants: StarInvariants
     triple: tuple[int, int, int]
     multipliers: tuple[int, int, int]
 
 
-@dataclass(frozen=True)
+@record
 class CoverDegree:
     """Order bookkeeping for the smooth cover of a polyhedral quotient.
 

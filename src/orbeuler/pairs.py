@@ -40,11 +40,11 @@ mode with user-supplied pairings and a user-asserted effectivity flag.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Mapping, Optional
 
+from ._record import record
 from .local import (
     CyclicQuotient,
     Exactness,
@@ -85,7 +85,7 @@ class Verdict(Enum):
     PRECONDITION_FAILED = "precondition-failed"
 
 
-@dataclass(frozen=True)
+@record
 class SurfaceData:
     """Surface numerics: e_top (= c2 when smooth projective) and c1^2 = K^2."""
 
@@ -109,7 +109,7 @@ class SurfaceData:
         return cls(e_top, c1_sq, plane=False)
 
 
-@dataclass(frozen=True)
+@record
 class ComponentData:
     """One boundary component: weight, geometric genus, intersection data.
 
@@ -153,7 +153,7 @@ class ComponentData:
             object.__setattr__(self, "pairings", pairings)
 
 
-@dataclass(frozen=True)
+@record
 class SingularPointData:
     """A point of Sing(X, D): local germ, incidences, weighted multiplicity.
 
@@ -194,7 +194,7 @@ class SingularPointData:
         object.__setattr__(self, "multiplicity", multiplicity)
 
 
-@dataclass(frozen=True)
+@record
 class PairDescription:
     surface: SurfaceData
     components: tuple
@@ -236,7 +236,7 @@ class PairDescription:
         object.__setattr__(self, "points", points)
 
 
-@dataclass(frozen=True)
+@record
 class GlobalEuler:
     """A global value; unlike local values it may well exceed 1.
 
@@ -253,7 +253,7 @@ class GlobalEuler:
         return self.exactness is Exactness.EXACT
 
 
-@dataclass(frozen=True)
+@record
 class IneqReport:
     lhs: Fraction
     rhs: Fraction
@@ -263,7 +263,7 @@ class IneqReport:
     notes: tuple = ()
 
 
-@dataclass(frozen=True, kw_only=True)
+@record(kw_only=True)
 class BmyReport(IneqReport):
     """The main certificate: lhs = 3 e_orb, rhs = (K+D)^2.
 
@@ -495,7 +495,8 @@ def pair_from_dict(doc) -> PairDescription:
 
     Top-level keys: ``surface`` (``mode``, plus ``e_top``/``c1_sq`` in
     generic mode), ``components``, ``points`` and ``effective``.  Rationals
-    are ``"p/q"`` strings throughout.
+    are ``"p/q"`` strings throughout, and a point's ``incident`` is a list of
+    ``[component id, branches]`` lists.
     """
     if not isinstance(doc, dict):
         raise ValueError(f"expected a pair document, got {type(doc).__name__}")
@@ -533,11 +534,12 @@ def pair_from_dict(doc) -> PairDescription:
             )
         )
 
-    # Each distinct local document and m_P literal is parsed once.  The keys
-    # are reprs, which tell JSON values apart by type as well as value (1,
-    # True, "1" and 1.0 all differ), so two entries share a parse only when
-    # they are the same document.  An m_P is cached only once a point has
-    # accepted it, so a bad one still fails in the point's own checks.
+    # Each distinct local document and m_P literal is parsed once.  Local
+    # documents are keyed by their repr, which tells JSON values apart by type
+    # as well as value (1, True, "1" and 1.0 all differ), so two entries share
+    # a parse only when they are the same document.  An m_P is cached only
+    # when it is a string, and only once a point has accepted it, so a bad
+    # one still fails in the point's own checks.
     germs = {}
     multiplicities = {}
     points = []
@@ -551,14 +553,28 @@ def pair_from_dict(doc) -> PairDescription:
         local = germs.get(local_key)
         if local is None:
             local = germs[local_key] = singularity_from_dict(entry["local"])
-        m_key = repr(entry["m_P"])
+        incident = entry["incident"]
+        if not isinstance(incident, list):
+            raise ValueError(
+                f"point {entry['id']}: field 'incident' must be a list, "
+                f"got {type(incident).__name__}"
+            )
+        for incidence in incident:
+            if not isinstance(incidence, list):
+                raise ValueError(
+                    f"point {entry['id']}: each entry of field 'incident' must be a "
+                    f"[component, branches] list, got {type(incidence).__name__}"
+                )
+        m_P = entry["m_P"]
+        cached = isinstance(m_P, str)
         point = SingularPointData(
             id=entry["id"],
             local=local,
-            incident=tuple(tuple(pair) for pair in entry["incident"]),
-            multiplicity=multiplicities.get(m_key, entry["m_P"]),
+            incident=incident,
+            multiplicity=multiplicities.get(m_P, m_P) if cached else m_P,
         )
-        multiplicities.setdefault(m_key, point.multiplicity)
+        if cached:
+            multiplicities.setdefault(m_P, point.multiplicity)
         points.append(point)
 
     return PairDescription(

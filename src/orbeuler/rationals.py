@@ -16,10 +16,11 @@ quotient surface singularity:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+
+from ._record import record
 
 __all__ = [
     "ChainError",
@@ -97,7 +98,7 @@ def rat_floor(x) -> int:
     return x.numerator // x.denominator
 
 
-@dataclass(frozen=True)
+@record
 class Chain:
     """Type ``<n, q>`` of an exceptional chain, in lowest terms.
 

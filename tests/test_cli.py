@@ -254,6 +254,25 @@ class TestGlobal:
         assert "field 'coeffs' must be a list" in err
 
     @pytest.mark.parametrize(
+        "incident, message",
+        [
+            ({"C": 1}, "field 'incident' must be a list, got dict"),
+            ("C1", "field 'incident' must be a list, got str"),
+            ({}, "field 'incident' must be a list, got dict"),
+            ("", "field 'incident' must be a list, got str"),
+            (["C", 1], "each entry of field 'incident' must be a [component, branches] list, got str"),
+            ([{"C": 1}], "each entry of field 'incident' must be a [component, branches] list, got dict"),
+        ],
+        ids=["object", "string", "empty-object", "empty-string", "flat-list", "list-of-objects"],
+    )
+    def test_non_list_incident_is_exit_2(self, capsys, incident, message):
+        # The empty object and string used to pass as a point on no component.
+        doc = pair_to_dict(quotient_point_pair())
+        doc["points"][0]["incident"] = incident
+        code, out, err = run(capsys, "global", json.dumps(doc))
+        assert (code, out, err) == (2, "", f"error: point Q: {message}\n")
+
+    @pytest.mark.parametrize(
         "pairings, named",
         [
             ({"K": True, "D": 32}, "pairing 'K'"),

@@ -1,0 +1,199 @@
+"""Every library record keeps the value semantics it had as a frozen dataclass.
+
+The expected reprs are the ones ``@dataclass(frozen=True)`` produced for the
+same instances.
+"""
+
+import pickle
+from fractions import Fraction as F
+
+import pytest
+
+from orbeuler import (
+    ArrangementData,
+    BmyReport,
+    Chain,
+    ComponentData,
+    CurveGerm,
+    CyclicQuotient,
+    EulerValue,
+    Exactness,
+    Ordinary,
+    PairDescription,
+    ReducedGerm,
+    SingularPointData,
+    StarArm,
+    StarQuotient,
+    SurfaceData,
+    check_arrangement,
+    check_bmy,
+    check_singularity_budget,
+    cover_degree,
+    germ_invariants,
+    validate_star,
+)
+
+
+def four_lines():
+    lines = tuple(ComponentData(f"L{i}", "1/2", 0, degree=1) for i in range(4))
+    points = tuple(
+        SingularPointData(f"P{i}{j}", Ordinary(("1/2", "1/2")), ((f"L{i}", 1), (f"L{j}", 1)), 1)
+        for i in range(4)
+        for j in range(i + 1, 4)
+    )
+    return PairDescription(SurfaceData.projective_plane(), lines, points)
+
+
+E8 = ((2, 1, "1/2"), (3, 2, 0), (5, 4, 0))
+NOTE = "'K+D has total degree -1 < 0 on the plane: no multiple is effective'"
+GLOBAL = (
+    "GlobalEuler(value=Fraction(1, 2), exactness=<Exactness.EXACT: 'exact'>, lc=True, "
+    "base=Fraction(5, 1))"
+)
+INEQ = (
+    "IneqReport(lhs=Fraction(1, 1), rhs=Fraction(3, 2), slack=Fraction(1, 2), "
+    f"verdict=<Verdict.PRECONDITION_FAILED: 'precondition-failed'>, equality=False, notes=({NOTE},))"
+)
+INVARIANTS = "StarInvariants(b0=Fraction(1, 30), alpha=Fraction(47, 60), beta=Fraction(1, 5))"
+
+# One instance of each record, and its repr.
+RECORDS = {
+    "Chain": (lambda: Chain(5, 2), "Chain(n=5, q=2)"),
+    "EulerValue": (
+        lambda: EulerValue(F(1, 2), Exactness.UPPER_BOUND, True),
+        "EulerValue(value=Fraction(1, 2), exactness=<Exactness.UPPER_BOUND: 'upper-bound'>, lc=True)",
+    ),
+    "Ordinary": (
+        lambda: Ordinary(("1/2", 0, 1)),
+        "Ordinary(coeffs=(Fraction(1, 2), Fraction(0, 1), Fraction(1, 1)))",
+    ),
+    "CyclicQuotient": (
+        lambda: CyclicQuotient((5, 2), "1/3", 0),
+        "CyclicQuotient(chain=Chain(n=5, q=2), d1=Fraction(1, 3), d2=Fraction(0, 1))",
+    ),
+    "StarArm": (lambda: StarArm((3, 1), "1/2"), "StarArm(chain=Chain(n=3, q=1), d=Fraction(1, 2))"),
+    "StarQuotient": (
+        lambda: StarQuotient(2, E8),
+        "StarQuotient(b=2, arms=(StarArm(chain=Chain(n=2, q=1), d=Fraction(1, 2)), "
+        "StarArm(chain=Chain(n=3, q=2), d=Fraction(0, 1)), StarArm(chain=Chain(n=5, q=4), d=Fraction(0, 1))))",
+    ),
+    "ReducedGerm": (lambda: ReducedGerm(4, 3), "ReducedGerm(mu=4, tau=3)"),
+    "StarInvariants": (lambda: validate_star(2, E8).invariants, INVARIANTS),
+    "StarValidation": (
+        lambda: validate_star(2, E8),
+        f"StarValidation(invariants={INVARIANTS}, triple=(2, 3, 5), multipliers=(1, 1, 1))",
+    ),
+    "CoverDegree": (
+        lambda: cover_degree("1/30", 2, 3, 5),
+        "CoverDegree(half_order=Fraction(30, 1), degree=Fraction(120, 1), triple=(2, 3, 5))",
+    ),
+    "SurfaceData": (lambda: SurfaceData.generic(-4, 2), "SurfaceData(e_top=-4, c1_sq=2, plane=False)"),
+    "ComponentData": (
+        lambda: ComponentData("C", "2/3", 1, degree=3),
+        "ComponentData(id='C', coeff=Fraction(2, 3), genus=1, degree=3, pairings=None)",
+    ),
+    "SingularPointData": (
+        lambda: four_lines().points[0],
+        "SingularPointData(id='P01', local=Ordinary(coeffs=(Fraction(1, 2), Fraction(1, 2))), "
+        "incident=(('L0', 1), ('L1', 1)), multiplicity=Fraction(1, 1))",
+    ),
+    "PairDescription": (
+        lambda: PairDescription(SurfaceData.projective_plane(), four_lines().components[:1], (), True),
+        "PairDescription(surface=SurfaceData(e_top=3, c1_sq=9, plane=True), components=(ComponentData("
+        "id='L0', coeff=Fraction(1, 2), genus=0, degree=1, pairings=None),), points=(), effective=True)",
+    ),
+    "GlobalEuler": (lambda: check_bmy(four_lines()).global_value, GLOBAL),
+    "IneqReport": (lambda: check_bmy(four_lines()).multiplicities, INEQ),
+    "BmyReport": (
+        lambda: check_bmy(four_lines()),
+        "BmyReport(lhs=Fraction(3, 2), rhs=Fraction(1, 1), slack=Fraction(1, 2), "
+        "verdict=<Verdict.PRECONDITION_FAILED: 'precondition-failed'>, equality=False, "
+        f"notes=({NOTE},), global_value={GLOBAL}, multiplicities={INEQ})",
+    ),
+    "CurveGerm": (
+        lambda: CurveGerm.parse("x^2 - 1/2y^3 + x^2"),
+        "CurveGerm(terms=((0, 3, Fraction(-1, 2)), (2, 0, Fraction(2, 1))))",
+    ),
+    "GermInvariants": (lambda: germ_invariants("x^2+y^3"), "GermInvariants(mu=2, tau=2, truncation_used=3)"),
+    "ArrangementData": (
+        lambda: ArrangementData.from_counts(6, {2: 3, 3: 4}),
+        "ArrangementData(k=6, t=((2, 3), (3, 4)))",
+    ),
+    "ArrangementReport": (
+        lambda: check_arrangement(6, {2: 3, 3: 4}),
+        "ArrangementReport(k=6, verdict='holds', large_pencil_r=None, incidence_sum=18, "
+        "incidence_bound=18, square_sum=48, square_bound=48)",
+    ),
+    "BudgetReport": (
+        lambda: check_singularity_budget(9, 3, "1/2", -18, 36, [(2, "1/24")]),
+        "BudgetReport(lhs=Fraction(35, 8), rhs=Fraction(36, 1), slack=Fraction(253, 8), "
+        "verdict='holds', equality=False)",
+    ),
+}
+
+
+@pytest.fixture(params=RECORDS, ids=str)
+def record(request):
+    make, text = RECORDS[request.param]
+    value = make()
+    assert type(value).__name__ == request.param
+    return make, text, value
+
+
+def test_repr_is_the_dataclass_repr(record):
+    _, text, value = record
+    assert repr(value) == text
+
+
+def test_equal_values_are_equal_and_hash_equal(record):
+    make, _, value = record
+    other = make()
+    assert other is not value
+    assert other == value and not other != value
+    assert hash(other) == hash(value)
+
+
+def test_equal_only_within_one_class(record):
+    _, _, value = record
+    lookalike = type("Lookalike", (type(value),), {})
+    copy = object.__new__(lookalike)
+    object.__getattribute__(copy, "__dict__").update(vars(value))
+    assert copy != value and value != copy
+    assert value != tuple(vars(value).values())
+
+
+def test_assignment_and_deletion_are_refused(record):
+    _, _, value = record
+    field = next(iter(vars(value)))
+    before = repr(value)
+    with pytest.raises(AttributeError):
+        setattr(value, field, None)
+    with pytest.raises(AttributeError):
+        delattr(value, field)
+    with pytest.raises(AttributeError):
+        value.unknown = None
+    assert repr(value) == before
+
+
+def test_pickle_round_trip(record):
+    _, text, value = record
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        copy = pickle.loads(pickle.dumps(value, protocol))
+        assert type(copy) is type(value)
+        assert copy == value and repr(copy) == text
+
+
+def test_bmy_report_fields_are_keyword_only():
+    report = check_bmy(four_lines())
+    base = (report.lhs, report.rhs, report.slack, report.verdict, report.equality, report.notes)
+    with pytest.raises(TypeError):
+        BmyReport(*base, report.global_value, report.multiplicities)
+    rebuilt = BmyReport(*base, global_value=report.global_value, multiplicities=report.multiplicities)
+    assert rebuilt == report
+
+
+def test_post_init_runs_through_the_instance(monkeypatch):
+    calls = []
+    monkeypatch.setattr(ReducedGerm, "__post_init__", lambda germ: calls.append(germ))
+    germ = ReducedGerm(1, 5)  # mu < tau, refused by the real __post_init__
+    assert calls == [germ]
