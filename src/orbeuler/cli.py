@@ -69,20 +69,16 @@ def _load_document(source: str):
 
 
 def _parallel_map(function, items, jobs: int):
-    # function maps a list of items to the list of their results, so that a
-    # worker's set-up, its imports included, is paid once per chunk.
+    # function maps a list of items to the list of their results.
     if jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {jobs}")
-    if jobs == 1 or len(items) <= 1:
+    workers = min(jobs, len(items), os.cpu_count() or 1)
+    if workers <= 1 or not hasattr(os, "fork"):
         return function(items)
-    # multiprocessing is slow to import, and only a real pool needs it.
-    from concurrent.futures import ProcessPoolExecutor
+    # Only a process that forks compiles the fork machinery.
+    from ._fork import fork_map
 
-    # About 64 chunks per worker amortise the round trip of cheap items.
-    size = max(1, len(items) // (64 * jobs))
-    chunks = [items[start : start + size] for start in range(0, len(items), size)]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return [result for chunk in pool.map(function, chunks) for result in chunk]
+    return fork_map(function, items, workers)
 
 
 def _eval_local_docs(docs):
@@ -349,6 +345,12 @@ def _cmd_check(args):
     return report.verdict, values, ["singularity-budget"], lines, None
 
 
+_JOBS_HELP = (
+    "processes for list input: forked workers, at most one per CPU and per chunk, "
+    "where os.fork exists; serial elsewhere"
+)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="orbeuler",
@@ -365,14 +367,14 @@ def _build_parser() -> argparse.ArgumentParser:
     local.add_argument("--cyclic", help="n,q,d1,d2")
     local.add_argument("--star", help="b;n,q,d;n,q,d;n,q,d")
     local.add_argument("--germ-mu-tau", dest="germ_mu_tau", help="mu,tau")
-    local.add_argument("--jobs", type=int, default=1, help="parallel workers for list input")
+    local.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
     local.set_defaults(handler=_cmd_local)
 
     germ = subparsers.add_parser("germ", help="Milnor/Tjurina numbers of a plane germ")
     germ.add_argument("input", help="polynomial in x,y; document path; '-'; or inline JSON")
     # The default stays in germs, which parsing does not import.
     germ.add_argument("--cap", type=int, help="truncation cap (default: orbeuler.germs.DEFAULT_CAP)")
-    germ.add_argument("--jobs", type=int, default=1, help="parallel workers for list input")
+    germ.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
     germ.set_defaults(handler=_cmd_germ)
 
     global_ = subparsers.add_parser("global", help="global Euler number and BMY checks")

@@ -1,6 +1,10 @@
+import errno
 import io
 import json
 import math
+import os
+import select
+import signal
 from fractions import Fraction as F
 
 import pytest
@@ -678,3 +682,110 @@ def test_verdict_exit_map_is_total():
         "precondition-failed",
     ):
         assert verdict in _EXIT_BY_VERDICT
+
+
+# Batches for the --jobs tests: a heavy germ among light ones, and one
+# document of each local class.
+JOBS_GERMS = json.dumps(["x^2+y^3", "x^2y+y^9", "x^3+y^5", "x^2+y^4", "x^4+y^5", "xy"])
+JOBS_LOCAL_DOCS = json.dumps(
+    [
+        {"type": "ordinary", "coeffs": ["1/2", "1/2", "1/2"]},
+        {"type": "cyclic", "n": 5, "q": 2, "d1": "1/2", "d2": "1/3"},
+        {"type": "star", "b": 2, "arms": [[2, 1, "1/2"], [3, 1, 0], [5, 1, "1/3"]]},
+        {"type": "germ_mu_tau", "mu": 4, "tau": 3},
+    ]
+)
+# Two invalid entries per subcommand, each with its own message.
+BAD = {
+    "germ": (("1+x", "must vanish at the origin"), ("0", "identically zero")),
+    "local": (
+        ({"type": "bogus"}, "unknown singularity type"),
+        ({"type": "ordinary", "coeffs": []}, "needs at least one branch"),
+    ),
+}
+
+
+class TestJobs:
+    """``--jobs`` changes who evaluates a batch, never what is printed."""
+
+    @pytest.fixture
+    def cpus(self, monkeypatch):
+        """Sets the CPU count the CLI sees, so that a test forks the same
+        number of workers on any machine."""
+        return lambda count: monkeypatch.setattr(orbeuler.cli.os, "cpu_count", lambda: count)
+
+    @pytest.mark.parametrize("argv", [("germ", JOBS_GERMS), ("local", JOBS_LOCAL_DOCS)], ids=["germ", "local"])
+    @pytest.mark.parametrize("jobs", ["2", "3"])
+    def test_parallel_is_serial(self, capsys, cpus, argv, jobs):
+        cpus(int(jobs))
+        serial = run(capsys, *argv, "--jobs", "1")
+        assert serial[0] == 0 and len(serial[1].splitlines()) > 1
+        assert run(capsys, *argv, "--jobs", jobs) == serial
+        with pytest.raises(ChildProcessError):  # every worker has been reaped
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_workers_are_capped_by_cpus(self, capsys, cpus, monkeypatch):
+        cpus(2)
+        forks = []
+        fork = os.fork
+
+        def counted_fork():
+            forks.append(os.getpid())
+            return fork()
+
+        batch = json.dumps(["x^2+y^3", "x^3+y^5", "x^2y+y^4", "x^2+y^9"])
+        serial = run(capsys, "germ", batch, "--jobs", "1")
+        monkeypatch.setattr(orbeuler.cli.os, "fork", counted_fork)
+        assert run(capsys, "germ", batch, "--jobs", "64") == serial
+        assert forks == [os.getpid()]
+
+    @pytest.mark.parametrize("argv", [("germ", JOBS_GERMS), ("local", JOBS_LOCAL_DOCS)], ids=["germ", "local"])
+    def test_failed_fork_is_serial(self, capsys, cpus, monkeypatch, argv):
+        cpus(3)
+        serial = run(capsys, *argv, "--jobs", "1")
+
+        def no_fork():
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        monkeypatch.setattr(orbeuler.cli.os, "fork", no_fork)
+        assert run(capsys, *argv, "--jobs", "3") == serial
+
+    def test_dead_worker_is_serial(self, capsys, cpus, monkeypatch):
+        cpus(2)
+        serial = run(capsys, "germ", JOBS_GERMS, "--jobs", "1")
+        evaluate = orbeuler.cli._eval_germ_docs
+        parent = os.getpid()
+        dying, died = os.pipe()
+        seen = []
+
+        def killed_in_child(payloads):
+            # The child dies on the first chunk it claims; the parent waits on
+            # its own first chunk until then, so the child surely claims one.
+            if payloads and os.getpid() != parent:
+                os.write(died, b"!")
+                os.kill(os.getpid(), signal.SIGKILL)
+            if payloads and not seen:
+                seen.append(select.select([dying], [], [], 60)[0])
+            return evaluate(payloads)
+
+        monkeypatch.setattr(orbeuler.cli, "_eval_germ_docs", killed_in_child)
+        try:
+            assert run(capsys, "germ", JOBS_GERMS, "--jobs", "2") == serial
+        finally:
+            os.close(dying)
+            os.close(died)
+        assert seen == [[dying]]
+
+    @pytest.mark.parametrize("command", ["germ", "local"])
+    @pytest.mark.parametrize("jobs", ["2", "3"])
+    @pytest.mark.parametrize("first, second", [(0, 1), (1, 6), (4, 5), (2, 7)])
+    @pytest.mark.parametrize("swap", [False, True], ids=["in-order", "swapped"])
+    def test_first_error_is_serial_first_error(self, capsys, cpus, command, jobs, first, second, swap):
+        cpus(int(jobs))
+        good = json.loads(JOBS_GERMS if command == "germ" else JOBS_LOCAL_DOCS)
+        batch = [good[k % len(good)] for k in range(8)]
+        (bad, message), (later, _) = BAD[command][::-1] if swap else BAD[command]
+        batch[first], batch[second] = bad, later
+        serial = run(capsys, command, json.dumps(batch), "--jobs", "1")
+        assert serial[:2] == (2, "") and message in serial[2]
+        assert run(capsys, command, json.dumps(batch), "--jobs", jobs) == serial

@@ -1,12 +1,12 @@
-"""What a CLI process imports, and the process pool under every start method.
+"""What a CLI process imports, and what ``--jobs`` prints.
 
 Each case runs in a fresh interpreter, as ``python -m orbeuler`` would, and
-reads back ``sys.modules``: a subcommand must not load the modules, or the
-process pool, that it does not run, nor the slow stdlib modules in ``SLOW``.
+reads back ``sys.modules``: a subcommand must not load the modules that it
+does not run, nor ``multiprocessing`` at any ``--jobs``, nor the slow stdlib
+modules in ``SLOW``.
 """
 
 import json
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -34,20 +34,15 @@ roots = ("orbeuler", "concurrent", "multiprocessing", "dataclasses", "inspect")
 print(json.dumps([code, sorted(m for m in sys.modules if m.partition(".")[0] in roots)]))
 """
 
-# Runs the CLI with the given start method for the process pool.
-WITH_START_METHOD = """
-import multiprocessing, sys
-multiprocessing.set_start_method(sys.argv[1])
-from orbeuler.cli import main
-sys.exit(main(sys.argv[2:]))
-"""
-
+# --jobs forks workers itself and loads no process pool.
 POOL = ("concurrent", "multiprocessing")
 # Library records are built without dataclasses, which imports inspect; each
 # costs a process about 10 ms.  A site hook outside this repository may load
 # them before any CLI code runs, and then they are not the CLI's doing.
 SLOW = ("dataclasses", "inspect")
-APPLICATIONS_ONLY = ["orbeuler.local", "orbeuler.pairs", "orbeuler.germs"]
+# Only a batch that forks workers loads the fork machinery.
+FORK = ["orbeuler._fork"]
+APPLICATIONS_ONLY = ["orbeuler.local", "orbeuler.pairs", "orbeuler.germs", *FORK]
 LOCAL_DOCS = json.dumps(
     [
         {"type": "ordinary", "coeffs": ["1/2", "1/2", "1/2"]},
@@ -94,9 +89,22 @@ def loads_any(modules, roots):
         pytest.param(["arrangement", "--k", "6", "--t", "2:3,3:4"], APPLICATIONS_ONLY, id="arrangement"),
         pytest.param(["bound", "--c1-sq", "9", "--c2", "3", "--genus", "2"], APPLICATIONS_ONLY, id="bound"),
         pytest.param(["check", json.dumps(BUDGET)], APPLICATIONS_ONLY, id="check"),
-        pytest.param(["local", LOCAL_DOCS], ["orbeuler.pairs", "orbeuler.germs", "orbeuler.applications"], id="local"),
-        pytest.param(["global", PAIR], ["orbeuler.germs", "orbeuler.applications"], id="global"),
-        pytest.param(["germ", GERMS], ["orbeuler.pairs", "orbeuler.applications"], id="germ"),
+        pytest.param(["local", LOCAL_DOCS], ["orbeuler.pairs", "orbeuler.germs", "orbeuler.applications", *FORK], id="local"),
+        pytest.param(["global", PAIR], ["orbeuler.germs", "orbeuler.applications", *FORK], id="global"),
+        pytest.param(["germ", GERMS], ["orbeuler.pairs", "orbeuler.applications", *FORK], id="germ"),
+        pytest.param(
+            ["local", LOCAL_DOCS, "--jobs", "2"],
+            ["orbeuler.pairs", "orbeuler.germs", "orbeuler.applications"],
+            id="local-batch-jobs-2",
+        ),
+        pytest.param(["germ", GERMS, "--jobs", "2"], ["orbeuler.pairs", "orbeuler.applications"], id="germ-batch-jobs-2"),
+        pytest.param(
+            ["local", "--ordinary", "1/2", "--jobs", "2"],
+            ["orbeuler.pairs", "orbeuler.germs", "orbeuler.applications", *FORK],
+            id="local-one-jobs-2",
+        ),
+        pytest.param(["germ", "x^2+y^3", "--jobs", "2"], ["orbeuler.pairs", "orbeuler.applications", *FORK], id="germ-one-jobs-2"),
+        pytest.param(["germ", GERMS, "--jobs", "1"], ["orbeuler.pairs", "orbeuler.applications", *FORK], id="germ-batch-jobs-1"),
     ],
 )
 def test_subcommand_loads_only_what_it_runs(argv, absent, slow_at_start):
@@ -106,26 +114,9 @@ def test_subcommand_loads_only_what_it_runs(argv, absent, slow_at_start):
     assert loads_any(modules, [*absent, *POOL, *slow]) == []
 
 
-@pytest.mark.parametrize(
-    "argv, pool",
-    [
-        pytest.param(["local", LOCAL_DOCS, "--jobs", "2"], True, id="local-batch-jobs-2"),
-        pytest.param(["germ", GERMS, "--jobs", "2"], True, id="germ-batch-jobs-2"),
-        pytest.param(["local", "--ordinary", "1/2", "--jobs", "2"], False, id="local-one-jobs-2"),
-        pytest.param(["germ", "x^2+y^3", "--jobs", "2"], False, id="germ-one-jobs-2"),
-        pytest.param(["germ", GERMS, "--jobs", "1"], False, id="germ-batch-jobs-1"),
-    ],
-)
-def test_pool_is_loaded_only_for_a_parallel_batch(argv, pool):
-    assert bool(loads_any(loaded_by(argv), ["multiprocessing"])) is pool
-
-
-@pytest.mark.parametrize("method", ["fork", "spawn", "forkserver"])
+@pytest.mark.parametrize("jobs", ["2", "3"])
 @pytest.mark.parametrize("argv", [["germ", GERMS], ["local", LOCAL_DOCS]], ids=["germ", "local"])
-def test_pool_output_is_serial_output_under_every_start_method(method, argv):
-    if method not in multiprocessing.get_all_start_methods():
-        pytest.skip(f"start method {method} is not available on this platform")
+def test_parallel_output_is_serial_output(jobs, argv):
     serial = python("-m", "orbeuler", "--format", "machine", *argv, "--jobs", "1")
-    parallel = python("-c", WITH_START_METHOD, method, "--format", "machine", *argv, "--jobs", "2")
-    assert parallel == serial
+    assert python("-m", "orbeuler", "--format", "machine", *argv, "--jobs", jobs) == serial
     assert json.loads(serial)["values"]["items"]
