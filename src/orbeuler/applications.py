@@ -284,7 +284,10 @@ def check_singularity_budget(
     alpha = as_rational(alpha)
     lhs = Fraction(0)
     for entry in points:
-        mu, local_value = entry
+        try:
+            mu, local_value = entry
+        except (TypeError, ValueError):
+            raise ValueError(f"point {entry!r} is not a (mu, e_orb) pair") from None
         if not is_integer(mu) or mu < 1:
             raise ValueError(f"mu must be a positive integer, got {mu!r}")
         lhs += 3 * (alpha * (mu - 1) + 1 - as_rational(local_value))

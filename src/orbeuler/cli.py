@@ -149,7 +149,7 @@ def _cmd_local(args):
         {"value": _rat(value.value), "kind": value.exactness.value, "lc": value.lc_label()}
         for value in results
     ]
-    tags = sorted({_LOCAL_TAGS.get(doc.get("type"), "local-euler") for doc in docs})
+    tags = sorted({_LOCAL_TAGS[doc["type"]] for doc in docs})
     lines = (
         f"value={item['value']} (~{_decimal(result.value)}) kind={item['kind']} lc={item['lc']}"
         for item, result in zip(items, results)
@@ -239,7 +239,7 @@ def _cmd_arrangement(args):
         raise ValueError("ambiguous input: both a document and inline flags were given")
     if args.input is not None:
         doc = _load_document(args.input)
-        if "k" not in doc or "t" not in doc:
+        if not isinstance(doc, dict) or "k" not in doc or "t" not in doc:
             raise ValueError("arrangement document needs 'k' and 't' fields")
         if not isinstance(doc["t"], dict):
             raise ValueError("arrangement field 't' must be an object mapping r to t_r")
@@ -247,11 +247,8 @@ def _cmd_arrangement(args):
     else:
         if args.k is None or args.t is None:
             raise ValueError("give --k and --t, or a document")
-        counts = {}
-        for piece in args.t.split(","):
-            r, _, count = piece.partition(":")
-            counts[int(r)] = int(count)
-        data = ArrangementData.from_counts(args.k, counts)
+        pieces = (piece.partition(":") for piece in args.t.split(","))
+        data = ArrangementData(args.k, tuple((int(r), int(count)) for r, _, count in pieces))
     report = check_arrangement(data)
     values = {
         "k": str(report.k),
@@ -318,17 +315,15 @@ def _cmd_check(args):
 
     doc = _load_document(args.input)
     for key in ("c1_sq", "c2", "alpha", "k_dot_c", "c_sq", "points"):
-        if key not in doc:
+        if not isinstance(doc, dict) or key not in doc:
             raise ValueError(f"check document missing field {key!r}")
-    points = []
-    for entry in doc["points"]:
-        if isinstance(entry, dict):
-            if "mu" not in entry or "e_orb" not in entry:
-                raise ValueError(f"point entry missing 'mu' or 'e_orb': {entry!r}")
-            points.append((entry["mu"], entry["e_orb"]))
-        else:
-            mu, local_value = entry
-            points.append((mu, local_value))
+    points = doc["points"]
+    if not isinstance(points, list):
+        raise ValueError(f"check field 'points' must be a list, got {type(points).__name__}")
+    for entry in points:
+        if isinstance(entry, dict) and ("mu" not in entry or "e_orb" not in entry):
+            raise ValueError(f"point entry missing 'mu' or 'e_orb': {entry!r}")
+    points = [(entry["mu"], entry["e_orb"]) if isinstance(entry, dict) else entry for entry in points]
     report = check_singularity_budget(
         doc["c1_sq"], doc["c2"], doc["alpha"], doc["k_dot_c"], doc["c_sq"], points
     )
@@ -413,7 +408,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         verdict, values, tags, lines, exit_override = args.handler(args)
-    except (ValueError, TypeError, OSError) as error:
+    except (ValueError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)
         return _INVALID_INPUT
     if args.format == "machine":

@@ -313,7 +313,10 @@ def germ_from_dict(doc) -> CurveGerm:
     """Build a germ from ``{"terms": [[i, j, "p/q"], ...]}``."""
     if not isinstance(doc, dict) or "terms" not in doc:
         raise ValueError("germ object must have a 'terms' field")
-    return CurveGerm(tuple(tuple(term) for term in doc["terms"]))
+    terms = doc["terms"]
+    if not isinstance(terms, list):
+        raise ValueError(f"germ field 'terms' must be a list, got {type(terms).__name__}")
+    return CurveGerm(terms)
 
 
 def germ_to_dict(germ: CurveGerm) -> dict:

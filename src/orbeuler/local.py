@@ -431,7 +431,7 @@ def singularity_from_dict(doc) -> LocalSingularity:
         raise ValueError(f"expected a singularity object, got {type(doc).__name__}")
     kind = doc.get("type")
     if kind == "ordinary":
-        return Ordinary(tuple(_list_field(doc, "coeffs")))
+        return Ordinary(_list_field(doc, "coeffs"))
     if kind == "cyclic":
         return CyclicQuotient(
             Chain(_field(doc, "n"), _field(doc, "q")),
@@ -439,8 +439,7 @@ def singularity_from_dict(doc) -> LocalSingularity:
             _field(doc, "d2"),
         )
     if kind == "star":
-        arms = _list_field(doc, "arms")
-        return StarQuotient(_field(doc, "b"), tuple(tuple(arm) for arm in arms))
+        return StarQuotient(_field(doc, "b"), _list_field(doc, "arms"))
     if kind == "germ_mu_tau":
         return ReducedGerm(_field(doc, "mu"), _field(doc, "tau"))
     raise ValueError(f"unknown singularity type: {kind!r}")

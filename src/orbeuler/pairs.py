@@ -140,6 +140,8 @@ class ComponentData:
             if not is_integer(self.degree) or self.degree < 1:
                 raise ValueError(f"component {self.id}: degree must be a positive integer")
         if self.pairings is not None:
+            if not isinstance(self.pairings, Mapping):
+                raise ValueError(f"component {self.id}: pairings must be an object")
             pairings = dict(self.pairings)
             for key, value in pairings.items():
                 if not isinstance(key, str) or not key:
@@ -172,15 +174,24 @@ class SingularPointData:
     def __post_init__(self):
         if not isinstance(self.id, str) or not self.id:
             raise ValueError(f"point id must be a nonempty string, got {self.id!r}")
+        if not isinstance(self.incident, (list, tuple)):
+            raise ValueError(
+                f"point {self.id}: field 'incident' must be a list, "
+                f"got {type(self.incident).__name__}"
+            )
         seen = set()
         normalized = []
         for entry in self.incident:
-            try:
-                component_id, branches = entry
-            except (TypeError, ValueError):
+            if not isinstance(entry, (list, tuple)):
+                raise ValueError(
+                    f"point {self.id}: each entry of field 'incident' must be a "
+                    f"[component, branches] list, got {type(entry).__name__}"
+                )
+            if len(entry) != 2 or not isinstance(entry[0], str):
                 raise ValueError(
                     f"point {self.id}: incidence {entry!r} is not a (component, branches) pair"
-                ) from None
+                )
+            component_id, branches = entry
             if not is_integer(branches) or branches < 1:
                 raise ValueError(f"point {self.id}: branch count must be a positive integer")
             if component_id in seen:
@@ -341,10 +352,11 @@ def _tally(objects, make) -> list:
     per distinct value, when it first occurs.
 
     Each object is hashed once.  Hashing a germ or an m_P hashes its
-    Fractions, which is slow; :func:`pair_from_dict` shares one object per
-    literal, so objects are grouped by identity first, and only an object not
-    seen before is looked up by equality.  Every object seen is kept
-    referenced until the end, so no identity is reused meanwhile.
+    Fractions, which is slow; :func:`pair_from_dict` shares one germ per local
+    document and ``parse_rational`` one m_P per literal, so objects are
+    grouped by identity first, and only an object not seen before is looked
+    up by equality.  Every object seen is kept referenced until the end, so no
+    identity is reused meanwhile.
     """
     by_value = {}
     by_identity = {}  # id(x) -> (x, its entry in by_value)
@@ -517,8 +529,12 @@ def pair_from_dict(doc) -> PairDescription:
     else:
         raise ValueError(f"unknown surface mode: {mode!r}")
 
+    component_docs, point_docs = doc.get("components", []), doc.get("points", [])
+    for name, value in (("components", component_docs), ("points", point_docs)):
+        if not isinstance(value, list):
+            raise ValueError(f"pair field {name!r} must be a list, got {type(value).__name__}")
     components = []
-    for entry in doc.get("components", []):
+    for entry in component_docs:
         if not isinstance(entry, dict):
             raise ValueError(f"component entry {entry!r} is not an object")
         for key in ("id", "a", "genus"):
@@ -534,16 +550,13 @@ def pair_from_dict(doc) -> PairDescription:
             )
         )
 
-    # Each distinct local document and m_P literal is parsed once.  Local
-    # documents are keyed by their repr, which tells JSON values apart by type
-    # as well as value (1, True, "1" and 1.0 all differ), so two entries share
-    # a parse only when they are the same document.  An m_P is cached only
-    # when it is a string, and only once a point has accepted it, so a bad
-    # one still fails in the point's own checks.
+    # Each distinct local document is parsed once.  Local documents are keyed
+    # by their repr, which tells JSON values apart by type as well as value
+    # (1, True, "1" and 1.0 all differ), so two entries share a parse only
+    # when they are the same document.
     germs = {}
-    multiplicities = {}
     points = []
-    for entry in doc.get("points", []):
+    for entry in point_docs:
         if not isinstance(entry, dict):
             raise ValueError(f"point entry {entry!r} is not an object")
         for key in ("id", "local", "incident", "m_P"):
@@ -553,29 +566,7 @@ def pair_from_dict(doc) -> PairDescription:
         local = germs.get(local_key)
         if local is None:
             local = germs[local_key] = singularity_from_dict(entry["local"])
-        incident = entry["incident"]
-        if not isinstance(incident, list):
-            raise ValueError(
-                f"point {entry['id']}: field 'incident' must be a list, "
-                f"got {type(incident).__name__}"
-            )
-        for incidence in incident:
-            if not isinstance(incidence, list):
-                raise ValueError(
-                    f"point {entry['id']}: each entry of field 'incident' must be a "
-                    f"[component, branches] list, got {type(incidence).__name__}"
-                )
-        m_P = entry["m_P"]
-        cached = isinstance(m_P, str)
-        point = SingularPointData(
-            id=entry["id"],
-            local=local,
-            incident=incident,
-            multiplicity=multiplicities.get(m_P, m_P) if cached else m_P,
-        )
-        if cached:
-            multiplicities.setdefault(m_P, point.multiplicity)
-        points.append(point)
+        points.append(SingularPointData(entry["id"], local, entry["incident"], entry["m_P"]))
 
     return PairDescription(
         surface=surface,

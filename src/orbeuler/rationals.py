@@ -24,6 +24,7 @@ from ._record import record
 
 __all__ = [
     "ChainError",
+    "InexactError",
     "Chain",
     "as_rational",
     "parse_rational",
@@ -36,6 +37,10 @@ __all__ = [
 
 class ChainError(ValueError):
     """A descriptor that does not encode a valid exceptional chain."""
+
+
+class InexactError(TypeError, ValueError):
+    """Not an exact rational (a float, a boolean, a non-number): invalid input and a wrong type."""
 
 
 _LITERAL = re.compile(r"[+-]?\d+(?:/\d+)?\Z")
@@ -78,12 +83,12 @@ def as_rational(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
-        raise TypeError("a boolean is not a rational value")
+        raise InexactError("a boolean is not a rational value")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
         return parse_rational(value)
-    raise TypeError(f"expected an exact rational, got {type(value).__name__}")
+    raise InexactError(f"expected an exact rational, got {type(value).__name__}")
 
 
 def rat_ceil(x) -> int:

@@ -25,7 +25,9 @@ from orbeuler.cli import main
 
 from fixtures import (
     concurrent_lines_pair,
+    cuspidal_cubic_with_line_pair,
     lc_effective_corpus,
+    nodal_cubic_pair,
     nine_cusp_sextic_pair,
     quadric_pair,
     quadrilateral_pair,
@@ -194,6 +196,20 @@ class TestGerm:
         code, _, err = run(capsys, "germ", "z^2")
         assert code == 2
         assert err
+
+    @pytest.mark.parametrize(
+        "terms, message",
+        [
+            (3, "germ field 'terms' must be a list, got int"),
+            ({"a": 1}, "germ field 'terms' must be a list, got dict"),
+            ([3], "term 3 is not an (i, j, coefficient) triple"),
+            ([[2, 0]], "term [2, 0] is not an (i, j, coefficient) triple"),
+        ],
+    )
+    def test_malformed_terms_are_exit_2(self, capsys, terms, message):
+        # These used to exit 2 only as a TypeError from tuple(), naming no field.
+        code, out, err = run(capsys, "germ", json.dumps([{"terms": terms}]))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_batch_list(self, capsys):
         docs = json.dumps(
@@ -447,15 +463,32 @@ class TestGlobal:
             assert (code, json.loads(out)["verdict"]) == outcome
 
     def test_bug_in_own_code_is_not_invalid_input(self, capsys, monkeypatch):
-        # Only malformed input maps to exit 2; a KeyError from the library
-        # itself is a bug and must surface as one.
-        def broken(pair):
-            raise KeyError("internal")
+        # Only malformed input maps to exit 2; a KeyError or a TypeError from
+        # the library itself is a bug and must surface as one.
+        for error in (KeyError, TypeError):
 
-        monkeypatch.setattr(orbeuler.pairs, "check_bmy", broken)
-        with pytest.raises(KeyError):
-            main(["global", json.dumps(pair_to_dict(quadrilateral_pair()))])
-        assert capsys.readouterr().out == ""
+            def broken(pair):
+                raise error("internal")
+
+            monkeypatch.setattr(orbeuler.pairs, "check_bmy", broken)
+            with pytest.raises(error):
+                main(["global", json.dumps(pair_to_dict(quadrilateral_pair()))])
+            assert capsys.readouterr() == ("", "")
+
+    @pytest.mark.parametrize("field", ["components", "points"])
+    def test_object_for_a_list_is_exit_2(self, capsys, field):
+        # An empty object used to pass as an empty list.
+        doc = pair_to_dict(nodal_cubic_pair())
+        doc[field] = {}
+        code, out, err = run(capsys, "global", json.dumps(doc))
+        assert (code, out, err) == (2, "", f"error: pair field {field!r} must be a list, got dict\n")
+
+    def test_list_form_pairings_is_exit_2(self, capsys):
+        # A list of [key, value] pairs used to pass as the object it lists.
+        doc = pair_to_dict(quadric_pair())
+        doc["components"][0]["pairings"] = [["K", -16], ["D", 32]]
+        code, out, err = run(capsys, "global", json.dumps(doc))
+        assert (code, out, err) == (2, "", "error: component D: pairings must be an object\n")
 
 
 BIG = 10**400
@@ -555,6 +588,16 @@ class TestArrangement:
         code, payload, _ = run_machine(capsys, "arrangement", "-")
         assert (code, payload["verdict"]) == (0, "holds")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("--k", "4", "--t", "2:1,2:6"), ('{"k": 4, "t": {"2": 6, "02": 1}}',)],
+        ids=["flags", "document"],
+    )
+    def test_duplicate_r_is_exit_2(self, capsys, argv):
+        # The flag form used to keep only the last count given for r.
+        code, out, err = run(capsys, "arrangement", *argv)
+        assert (code, out, err) == (2, "", "error: duplicate entry for r = 2\n")
+
     def test_t_not_an_object_is_exit_2(self, capsys):
         code, out, err = run(capsys, "arrangement", '{"k": 4, "t": [1]}')
         assert (code, out) == (2, "")
@@ -633,6 +676,19 @@ class TestBoundAndCheck:
         assert code == 1
         assert payload["verdict"] == "violation"
 
+    @pytest.mark.parametrize(
+        "points, message",
+        [
+            ({}, "check field 'points' must be a list, got dict"),
+            ([[2]], "point [2] is not a (mu, e_orb) pair"),
+            ([3], "point 3 is not a (mu, e_orb) pair"),
+        ],
+    )
+    def test_malformed_points_are_exit_2(self, capsys, points, message):
+        doc = {"c1_sq": 9, "c2": 3, "alpha": "1/2", "k_dot_c": -18, "c_sq": 36, "points": points}
+        code, out, err = run(capsys, "check", json.dumps(doc))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
 
 @pytest.mark.parametrize(
     "argv, message",
@@ -664,6 +720,68 @@ def test_invalid_input_is_exit_2(capsys, argv, message):
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
+
+
+# Each field of these documents is replaced by each of JSON_VALUES.
+MUTATED_DOCUMENTS = [
+    ("global", pair_to_dict(nodal_cubic_pair())),
+    ("global", pair_to_dict(cuspidal_cubic_with_line_pair())),
+    ("global", pair_to_dict(quadric_pair())),
+    ("global", pair_to_dict(quotient_point_pair())),
+    ("global", pair_to_dict(refused_germ_pair())),
+    ("local", {"type": "ordinary", "coeffs": ["1/2", "1/3"]}),
+    ("local", {"type": "cyclic", "n": 5, "q": 2, "d1": "1/2", "d2": "0"}),
+    ("local", {"type": "star", "b": 2, "arms": [[2, 1, "0"], [3, 1, "1/2"], [3, 2, "0"]]}),
+    ("local", [{"type": "germ_mu_tau", "mu": 3, "tau": 2}]),
+    ("germ", [{"terms": [[2, 0, "1"], [0, 3, "-1/2"]]}, "x^2+y^5"]),
+    ("arrangement", {"k": 6, "t": {"2": 3, "3": 4}}),
+    ("check", {"c1_sq": 9, "c2": 3, "alpha": "1/2", "k_dot_c": -18, "c_sq": 36,
+               "points": [{"mu": 2, "e_orb": "1/6"}, [2, "1/6"]]}),
+]
+JSON_VALUES = [None, True, 0.5, 3, "x", [], [3], {}, {"a": 1}]
+# What a TypeError or ValueError from Python itself says, naming no field.
+RAW_MESSAGES = ("is not iterable", "unhashable type", "values to unpack", "dictionary update sequence")
+
+
+def field_paths(node, path=()):
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from field_paths(value, path + (key,))
+
+
+@pytest.mark.parametrize(
+    "command, doc",
+    MUTATED_DOCUMENTS,
+    ids=[f"{command}-{i}" for i, (command, _) in enumerate(MUTATED_DOCUMENTS)],
+)
+def test_every_mutated_field_is_answered_or_refused(capsys, command, doc):
+    # Whatever a field holds, the CLI answers (exit 0 or 1) or refuses the
+    # document on one line that names its fault (exit 2); it never raises,
+    # since only a bug in the library may.
+    for path in field_paths(doc):
+        for value in JSON_VALUES:
+            mutated = json.loads(json.dumps(doc))
+            parent = mutated
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]] = value
+            code, out, err = run(capsys, command, json.dumps(mutated))
+            assert code in (0, 1, 2), (path, value)
+            if code == 2:
+                assert out == "" and err.startswith("error: ") and err.count("\n") == 1, (path, value)
+                assert not any(text in err for text in RAW_MESSAGES), (path, value, err)
+
+
+@pytest.mark.parametrize(
+    "command, message", [("arrangement", "needs 'k' and 't' fields"), ("check", "missing field 'c1_sq'")]
+)
+@pytest.mark.parametrize("doc", ["3", '"k t"', "null", "[6]"])
+def test_document_not_an_object_is_exit_2(capsys, monkeypatch, command, message, doc):
+    monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+    code, out, err = run(capsys, command, "-")
+    assert (code, out) == (2, "")
+    assert err.endswith(f" document {message}\n") and err.count("\n") == 1
 
 
 def test_verdict_exit_map_is_total():

@@ -696,6 +696,23 @@ class TestDocuments:
                 ),
             )
 
+    @pytest.mark.parametrize(
+        "incident, message",
+        [
+            (3, "field 'incident' must be a list, got int"),
+            ((3,), "each entry of field 'incident' must be a [component, branches] list, got int"),
+            ((("C",),), "incidence ('C',) is not a (component, branches) pair"),
+            (((["C"], 1),), "incidence (['C'], 1) is not a (component, branches) pair"),
+            ((("C", 1), ("C", 2)), "component 'C' listed twice"),
+        ],
+    )
+    def test_incidences_checked_by_the_point(self, incident, message):
+        # The point record is the one place an incidence is checked, for a
+        # document and for a library caller alike.
+        with pytest.raises(ValueError) as caught:
+            SingularPointData("P", Ordinary((F(1),)), incident, F(1))
+        assert str(caught.value) == f"point P: {message}"
+
     def test_duplicate_ids_rejected(self):
         component = ComponentData(id="C", coeff=F(1), genus=0, degree=3)
         with pytest.raises(ValueError):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from orbeuler import (
     Chain,
     ChainError,
+    InexactError,
     as_rational,
     format_rational,
     hj_eval,
@@ -56,6 +57,14 @@ class TestParsing:
             as_rational(0.5)
         with pytest.raises(TypeError):
             as_rational(True)
+
+    @pytest.mark.parametrize("bad", [0.5, True, None, [1], {"a": 1}])
+    def test_inexact_is_invalid_input(self, bad):
+        # A document field holding any of these is refused as input, which
+        # the CLI knows by ValueError.
+        with pytest.raises(InexactError) as caught:
+            as_rational(bad)
+        assert isinstance(caught.value, ValueError) and isinstance(caught.value, TypeError)
 
     def test_format_round_trip(self):
         for x in (F(2, 3), F(-7, 5), F(4), F(0)):
