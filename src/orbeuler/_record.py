@@ -17,7 +17,7 @@ def record(cls=None, *, kw_only=False):
     the class's own fields keyword-only.  As with ``@dataclass(frozen=True)``
     the class gets an ``__init__`` that stores the fields and then calls
     ``self.__post_init__()`` if the class has one, which may replace a field
-    through ``object.__setattr__``; ``__eq__`` and ``__hash__`` over the
+    through ``self.__dict__``; ``__eq__`` and ``__hash__`` over the
     field values, equal only within one class; the ``Cls(f=v, ...)``
     ``__repr__``; ``__match_args__`` of the positional fields; and
     ``__setattr__`` and ``__delattr__`` that raise :class:`AttributeError`.

@@ -88,11 +88,23 @@ class ArrangementData:
                 f"pair-count identity fails: sum t_r r(r-1) = {pair_count} "
                 f"but k(k-1) = {self.k * (self.k - 1)}"
             )
-        object.__setattr__(self, "t", tuple(normalized))
+        self.__dict__["t"] = tuple(normalized)
 
     @classmethod
     def from_counts(cls, k: int, t: Mapping) -> "ArrangementData":
-        return cls(k, tuple((int(r), count) for r, count in t.items()))
+        """Data from a mapping r -> t_r; a key may be a decimal string, as in JSON."""
+        if not isinstance(t, Mapping):
+            raise InvalidArrangementError(f"t must map r to t_r, got {type(t).__name__}")
+        return cls(k, tuple((_point_order(r), count) for r, count in t.items()))
+
+
+def _point_order(r):
+    if not isinstance(r, str):
+        return r
+    try:
+        return int(r)
+    except ValueError:
+        raise InvalidArrangementError(f"t key {r!r} is not an integer point order") from None
 
 
 @record

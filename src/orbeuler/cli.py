@@ -14,11 +14,11 @@ its own.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
 import sys
-from decimal import MAX_EMAX, MIN_EMIN, Context
 from fractions import Fraction
 
 # Every path formats rationals; the other modules are imported by the
@@ -43,7 +43,8 @@ _INVALID_INPUT = 2
 
 def _decimal(x) -> str:
     # Annotation only: core results stay exact.
-    x = Fraction(x)
+    if x.__class__ is not Fraction:
+        x = Fraction(x)
     try:
         approx = float(x)
     except OverflowError:
@@ -52,7 +53,9 @@ def _decimal(x) -> str:
         # Beyond float range, or below its normal range, where float()
         # underflows to 0 or keeps fewer than 7 digits: round to 7 digits with
         # an unbounded exponent; normalize() drops trailing zeros, as %g does
-        # for a float.
+        # for a float.  Only this branch needs decimal, so only it imports it.
+        from decimal import MAX_EMAX, MIN_EMIN, Context
+
         context = Context(prec=7, Emax=MAX_EMAX, Emin=MIN_EMIN)
         return f"{context.divide(x.numerator, x.denominator).normalize(context):.7g}"
     return f"{approx:.7g}"
@@ -117,21 +120,31 @@ def _local_inputs(args):
     if args.ordinary is not None:
         return [{"type": "ordinary", "coeffs": args.ordinary.split(",")}]
     if args.cyclic is not None:
-        n, q, d1, d2 = args.cyclic.split(",")
-        return [{"type": "cyclic", "n": int(n), "q": int(q), "d1": d1, "d2": d2}]
+        n, q, d1, d2 = _flag_entries("--cyclic", "n,q,d1,d2", args.cyclic, int, int, str, str)
+        return [{"type": "cyclic", "n": n, "q": q, "d1": d1, "d2": d2}]
     if args.star is not None:
-        head, *arm_texts = args.star.split(";")
-        if len(arm_texts) != 3:
-            raise ValueError("--star needs 'b;n,q,d;n,q,d;n,q,d'")
-        arms = []
-        for arm_text in arm_texts:
-            n, q, d = arm_text.split(",")
-            arms.append([int(n), int(q), d])
-        return [{"type": "star", "b": int(head), "arms": arms}]
+        shape = "b;n,q,d;n,q,d;n,q,d"
+
+        def arm(text):
+            return _flag_entries("--star", shape, text, int, int, str)
+
+        b, *arms = _flag_entries("--star", shape, args.star, int, arm, arm, arm, sep=";")
+        return [{"type": "star", "b": b, "arms": arms}]
     if args.germ_mu_tau is not None:
-        mu, tau = args.germ_mu_tau.split(",")
-        return [{"type": "germ_mu_tau", "mu": int(mu), "tau": int(tau)}]
+        mu, tau = _flag_entries("--germ-mu-tau", "mu,tau", args.germ_mu_tau, int, int)
+        return [{"type": "germ_mu_tau", "mu": mu, "tau": tau}]
     raise ValueError("no input: give a document or one of --ordinary/--cyclic/--star/--germ-mu-tau")
+
+
+def _flag_entries(flag: str, shape: str, text: str, *kinds, sep=",") -> list:
+    """The entries of an inline flag's ``text``, one per kind and converted by it."""
+    entries = text.split(sep)
+    if len(entries) == len(kinds):
+        try:
+            return [kind(entry) for kind, entry in zip(kinds, entries)]
+        except ValueError:
+            pass
+    raise ValueError(f"{flag} needs {shape}, got {text!r}")
 
 
 _LOCAL_TAGS = {
@@ -143,10 +156,13 @@ _LOCAL_TAGS = {
 
 
 def _cmd_local(args):
+    from .local import Exactness
+
     docs = _local_inputs(args)
     results = _parallel_map(_eval_local_docs, docs, args.jobs)
+    kinds = {member: member.value for member in Exactness}
     items = [
-        {"value": _rat(value.value), "kind": value.exactness.value, "lc": value.lc_label()}
+        {"value": _rat(value.value), "kind": kinds[value.exactness], "lc": value.lc_label()}
         for value in results
     ]
     tags = sorted({_LOCAL_TAGS[doc["type"]] for doc in docs})
@@ -247,8 +263,9 @@ def _cmd_arrangement(args):
     else:
         if args.k is None or args.t is None:
             raise ValueError("give --k and --t, or a document")
-        pieces = (piece.partition(":") for piece in args.t.split(","))
-        data = ArrangementData(args.k, tuple((int(r), int(count)) for r, _, count in pieces))
+        shape = "r:t_r,r:t_r,..."
+        counts = (_flag_entries("--t", shape, piece, int, int, sep=":") for piece in args.t.split(","))
+        data = ArrangementData(args.k, tuple(counts))
     report = check_arrangement(data)
     values = {
         "k": str(report.k),
@@ -404,6 +421,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # Apart from its argument parser, a command allocates only acyclic data
+    # and holds it until it returns, so the cyclic collector would walk it
+    # for nothing; forked --jobs workers inherit the setting.  The caller's
+    # setting is restored.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(argv)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _run(argv) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

@@ -45,11 +45,12 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 from typing import Union
 
 from ._record import record
-from .rationals import Chain, ChainError, as_rational, format_rational, is_integer
+from .rationals import Chain, ChainError, as_rational, format_rational, is_integer, parse_rational
 
 __all__ = [
     "NotQuotientError",
@@ -85,6 +86,9 @@ class Exactness(Enum):
     UPPER_BOUND = "upper-bound"
 
 
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
+
 @record
 class EulerValue:
     """A local value together with its exactness kind and lc status.
@@ -98,12 +102,14 @@ class EulerValue:
     lc: bool
 
     def __post_init__(self):
-        object.__setattr__(self, "value", as_rational(self.value))
+        value = self.value
+        if value.__class__ is not Fraction:
+            value = self.__dict__["value"] = as_rational(value)
         if not isinstance(self.exactness, Exactness):
             raise TypeError("exactness must be an Exactness member")
-        if not self.lc and self.value.numerator != 0:
+        if not self.lc and value.numerator != 0:
             raise ValueError("a non log canonical germ must report value 0")
-        if self.lc and self.value.numerator > self.value.denominator:
+        if self.lc and value.numerator > value.denominator:
             raise ValueError("a log canonical local value never exceeds 1")
 
     @property
@@ -115,10 +121,23 @@ class EulerValue:
 
 
 def _weight(value) -> Fraction:
+    if value.__class__ is str:
+        return _weight_literal(value)
     w = as_rational(value)
     if not 0 <= w.numerator <= w.denominator:
         raise ValueError(f"boundary weight {format_rational(w)} outside [0, 1]")
     return w
+
+
+@lru_cache(maxsize=4096)
+def _weight_literal(text: str) -> Fraction:
+    """:func:`_weight` of a literal, checked once while among the last 4096.
+
+    Called only with a ``str``: the cache would take ``1``, ``1.0`` and
+    ``True`` for one key, and each keeps its own verdict.  A refused literal
+    is not remembered and raises again on every call.
+    """
+    return _weight(parse_rational(text))
 
 
 def _as_chain(chain) -> Chain:
@@ -138,10 +157,10 @@ class Ordinary:
     coeffs: tuple
 
     def __post_init__(self):
-        vals = tuple(_weight(c) for c in self.coeffs)
+        vals = tuple(map(_weight, self.coeffs))
         if not vals:
             raise ValueError("an ordinary point needs at least one branch")
-        object.__setattr__(self, "coeffs", vals)
+        self.__dict__["coeffs"] = vals
 
 
 @record
@@ -153,9 +172,10 @@ class CyclicQuotient:
     d2: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "chain", _as_chain(self.chain))
-        object.__setattr__(self, "d1", _weight(self.d1))
-        object.__setattr__(self, "d2", _weight(self.d2))
+        fields = self.__dict__
+        fields["chain"] = _as_chain(self.chain)
+        fields["d1"] = _weight(self.d1)
+        fields["d2"] = _weight(self.d2)
 
 
 @record
@@ -166,8 +186,9 @@ class StarArm:
     d: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "chain", _as_chain(self.chain))
-        object.__setattr__(self, "d", _weight(self.d))
+        fields = self.__dict__
+        fields["chain"] = _as_chain(self.chain)
+        fields["d"] = _weight(self.d)
 
     @property
     def n(self) -> int:
@@ -191,7 +212,7 @@ class StarQuotient:
         arms = tuple(arm if isinstance(arm, StarArm) else _star_arm(arm) for arm in self.arms)
         if len(arms) != 3:
             raise ValueError(f"a star has exactly 3 arms, got {len(arms)}")
-        object.__setattr__(self, "arms", arms)
+        self.__dict__["arms"] = arms
 
 
 def _star_arm(entry) -> StarArm:
@@ -258,20 +279,20 @@ def euler_ordinary(coeffs) -> EulerValue:
     # A weight-0 branch does not change the underlying divisor; dropping such
     # branches keeps both the value and the exactness kind stable under
     # padding with zeros.
-    weights = [c for c in point.coeffs if c.numerator]
-    if not weights:
-        return EulerValue(Fraction(1), Exactness.EXACT, True)
+    ratios = [ratio for ratio in map(Fraction.as_integer_ratio, point.coeffs) if ratio[0]]
+    if not ratios:
+        return EulerValue(_ONE, Exactness.EXACT, True)
     # Over den = lcm of the denominators, a = total/den and a_n = top/den.
-    den = lcm(*(w.denominator for w in weights))
-    scaled = [w.numerator * (den // w.denominator) for w in weights]
+    den = lcm(*(q for _, q in ratios))
+    scaled = [p * (den // q) for p, q in ratios]
     total = sum(scaled)
     top = max(scaled)
     if total > 2 * den:
-        return EulerValue(Fraction(0), Exactness.EXACT, False)
+        return EulerValue(_ZERO, Exactness.EXACT, False)
     if 2 * top >= total:
         return EulerValue(Fraction((den - total + top) * (den - top), den * den), Exactness.EXACT, True)
     # (a - 2)^2 / 4, exact for at most three branches and an upper bound beyond.
-    kind = Exactness.EXACT if len(weights) <= 3 else Exactness.UPPER_BOUND
+    kind = Exactness.EXACT if len(ratios) <= 3 else Exactness.UPPER_BOUND
     return EulerValue(Fraction((2 * den - total) ** 2, 4 * den * den), kind, True)
 
 
@@ -304,21 +325,36 @@ def _star_numbers(star: StarQuotient) -> tuple:
     """A star's invariants as integers, and its polyhedral assignment.
 
     Returns ``(b0_num, b0_den, shares, den, triple, multipliers)``: b0 is
-    ``b0_num / b0_den`` over b0_den = lcm n_i, and the share (1 - d_i)/n_i of
-    arm i is ``shares[i] / den`` over one common denominator.  Raises
-    :class:`NotQuotientError` when b0 <= 0, and then when no assignment exists.
+    ``b0_num / b0_den`` as in :func:`_star_shape`, and the share
+    (1 - d_i)/n_i of arm i is ``shares[i] / den`` over one common denominator.
     """
-    ns = tuple(arm.n for arm in star.arms)
+    a1, a2, a3 = star.arms
+    c1, c2, c3 = a1.chain, a2.chain, a3.chain
+    b0_num, b0_den, triple, multipliers = _star_shape(star.b, (c1.n, c2.n, c3.n), (c1.q, c2.q, c3.q))
+    (p1, q1), (p2, q2), (p3, q3) = a1.d.as_integer_ratio(), a2.d.as_integer_ratio(), a3.d.as_integer_ratio()
+    e1, e2, e3 = q1 * c1.n, q2 * c2.n, q3 * c3.n
+    den = lcm(e1, e2, e3)
+    shares = [(q1 - p1) * (den // e1), (q2 - p2) * (den // e2), (q3 - p3) * (den // e3)]
+    return b0_num, b0_den, shares, den, triple, multipliers
+
+
+@lru_cache(maxsize=4096)
+def _star_shape(b: int, ns: tuple, qs: tuple) -> tuple:
+    """The part of :func:`_star_numbers` that the weights do not enter.
+
+    For central weight b and arm chains <ns[i], qs[i]>, returns
+    ``(b0_num, b0_den, triple, multipliers)``, b0 being ``b0_num / b0_den``
+    over b0_den = lcm n_i; remembered for the last 4096 shapes.  Raises
+    :class:`NotQuotientError` when b0 <= 0, and then when no assignment
+    exists; a refused shape is not remembered.
+    """
     b0_den = lcm(*ns)
-    b0_num = star.b * b0_den - sum(arm.q * (b0_den // arm.n) for arm in star.arms)
+    b0_num = b * b0_den - sum(q * (b0_den // n) for n, q in zip(ns, qs))
     if b0_num <= 0:
         b0 = format_rational(Fraction(b0_num, b0_den))
         raise NotQuotientError(f"b0 = {b0} <= 0: the central curve does not contract")
     triple, multipliers = _polyhedral_assignment(ns)
-    dens = [arm.d.denominator * arm.n for arm in star.arms]
-    den = lcm(*dens)
-    shares = [(arm.d.denominator - arm.d.numerator) * (den // d) for arm, d in zip(star.arms, dens)]
-    return b0_num, b0_den, shares, den, triple, multipliers
+    return b0_num, b0_den, triple, multipliers
 
 
 def _polyhedral_assignment(ns: tuple) -> tuple:
@@ -391,19 +427,16 @@ def euler_local(s: LocalSingularity) -> EulerValue:
     if isinstance(s, Ordinary):
         return euler_ordinary(s)
     if isinstance(s, CyclicQuotient):
-        d1, d2 = s.d1, s.d2
-        value = Fraction(
-            (d1.denominator - d1.numerator) * (d2.denominator - d2.numerator),
-            d1.denominator * d2.denominator * s.chain.n,
-        )
-        return EulerValue(value, Exactness.EXACT, True)
+        p1, q1 = s.d1.as_integer_ratio()
+        p2, q2 = s.d2.as_integer_ratio()
+        return EulerValue(Fraction((q1 - p1) * (q2 - p2), q1 * q2 * s.chain.n), Exactness.EXACT, True)
     if isinstance(s, StarQuotient):
         # alpha = total/den, beta = least/den and b0 = b0_num/b0_den.
         b0_num, b0_den, shares, den, _, _ = _star_numbers(s)
         total = sum(shares)
         least = min(shares)
         if total < den:
-            return EulerValue(Fraction(0), Exactness.EXACT, False)
+            return EulerValue(_ZERO, Exactness.EXACT, False)
         if total < 2 * least + den:
             value = Fraction((total - den) ** 2 * b0_den, 4 * den * den * b0_num)
         else:

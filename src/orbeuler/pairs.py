@@ -133,7 +133,7 @@ class ComponentData:
             raise ValueError(
                 f"component {self.id}: weight {format_rational(coeff)} outside [0, 1]"
             )
-        object.__setattr__(self, "coeff", coeff)
+        self.__dict__["coeff"] = coeff
         if not is_integer(self.genus) or self.genus < 0:
             raise ValueError(f"component {self.id}: genus must be a nonnegative integer")
         if self.degree is not None:
@@ -152,7 +152,7 @@ class ComponentData:
                     raise ValueError(
                         f"component {self.id}: pairing {key!r} must be an integer, got {value!r}"
                     )
-            object.__setattr__(self, "pairings", pairings)
+            self.__dict__["pairings"] = pairings
 
 
 @record
@@ -198,11 +198,11 @@ class SingularPointData:
                 raise ValueError(f"point {self.id}: component {component_id!r} listed twice")
             seen.add(component_id)
             normalized.append((component_id, branches))
-        object.__setattr__(self, "incident", tuple(normalized))
+        self.__dict__["incident"] = tuple(normalized)
         multiplicity = as_rational(self.multiplicity)
         if multiplicity.numerator < 0:
             raise ValueError(f"point {self.id}: multiplicity must be nonnegative")
-        object.__setattr__(self, "multiplicity", multiplicity)
+        self.__dict__["multiplicity"] = multiplicity
 
 
 @record
@@ -243,8 +243,8 @@ class PairDescription:
             raise ValueError("component id 'K' is reserved in generic mode for K.D_i")
         if self.effective is not None and not isinstance(self.effective, bool):
             raise ValueError(f"effective must be true, false or absent, got {self.effective!r}")
-        object.__setattr__(self, "components", components)
-        object.__setattr__(self, "points", points)
+        self.__dict__["components"] = components
+        self.__dict__["points"] = points
 
 
 @record

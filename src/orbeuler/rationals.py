@@ -72,10 +72,10 @@ def parse_rational(text: str) -> Fraction:
 
 def format_rational(x) -> str:
     """Render a rational as ``"p/q"``, or ``"p"`` for integers."""
-    x = as_rational(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    num, den = (x if x.__class__ is Fraction else as_rational(x)).as_integer_ratio()
+    if den == 1:
+        return str(num)
+    return f"{num}/{den}"
 
 
 def as_rational(value) -> Fraction:

@@ -95,6 +95,17 @@ class TestArrangements:
             with pytest.raises(InvalidArrangementError, match="k must be a positive integer"):
                 ArrangementData(k, ())
 
+    def test_counts_name_their_field(self):
+        with pytest.raises(InvalidArrangementError, match="^t must map r to t_r, got list$"):
+            ArrangementData.from_counts(4, [1, 2])
+        for key in ("x", "", "2.0"):
+            with pytest.raises(InvalidArrangementError, match=f"^t key '{key}' is not an integer point order$"):
+                ArrangementData.from_counts(4, {key: 6})
+        # Only string keys are read as integers; others are checked as given.
+        with pytest.raises(InvalidArrangementError, match="point order r must be an integer >= 2, got 2.0"):
+            ArrangementData.from_counts(4, {2.0: 6})
+        assert ArrangementData.from_counts(4, {"2": 6}) == ArrangementData.from_counts(4, {2: 6})
+
     def test_generic_three_lines_equality(self):
         report = check_arrangement(3, {2: 3})
         assert report.verdict == "holds"

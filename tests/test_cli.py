@@ -1,4 +1,5 @@
 import errno
+import gc
 import io
 import json
 import math
@@ -10,6 +11,7 @@ from fractions import Fraction as F
 import pytest
 
 import orbeuler.cli
+import orbeuler.local
 import orbeuler.pairs
 from orbeuler import (
     ComponentData,
@@ -156,6 +158,20 @@ class TestLocal:
         code, payload, _ = run_machine(capsys, "local", "--ordinary", "1,1,1")
         assert code == 0
         assert payload["values"] == {"value": "0", "kind": "exact", "lc": "non-lc"}
+
+    @pytest.mark.parametrize(
+        "flag, text, shape",
+        [
+            ("--cyclic", "1,2", "n,q,d1,d2"),
+            ("--cyclic", "5,x,0,0", "n,q,d1,d2"),
+            ("--star", "1;2,1;3,1,0;5,1,0", "b;n,q,d;n,q,d;n,q,d"),
+            ("--germ-mu-tau", "3", "mu,tau"),
+        ],
+        ids=["cyclic-short", "cyclic-not-an-integer", "star-short-arm", "germ-mu-tau-short"],
+    )
+    def test_malformed_flag_is_named(self, capsys, flag, text, shape):
+        code, out, err = run(capsys, "local", flag, text)
+        assert (code, out, err) == (2, "", f"error: {flag} needs {shape}, got {text!r}\n")
 
 
 class TestGerm:
@@ -598,10 +614,72 @@ class TestArrangement:
         code, out, err = run(capsys, "arrangement", *argv)
         assert (code, out, err) == (2, "", "error: duplicate entry for r = 2\n")
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (('{"k": 4, "t": {"x": 6}}',), "t key 'x' is not an integer point order"),
+            (("--k", "4", "--t", "2"), "--t needs r:t_r,r:t_r,..., got '2'"),
+            (("--k", "4", "--t", "2:x"), "--t needs r:t_r,r:t_r,..., got '2:x'"),
+        ],
+        ids=["document-key", "flag-without-count", "flag-count"],
+    )
+    def test_malformed_count_is_named(self, capsys, argv, message):
+        code, out, err = run(capsys, "arrangement", *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_t_not_an_object_is_exit_2(self, capsys):
         code, out, err = run(capsys, "arrangement", '{"k": 4, "t": [1]}')
         assert (code, out) == (2, "")
         assert "'t' must be an object" in err
+
+
+class TestCollector:
+    """A command runs with the cyclic collector off and leaves no cycles behind."""
+
+    @pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
+    def collector(self, request):
+        was = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was else gc.disable)()
+
+    def test_main_restores_the_callers_setting(self, capsys, monkeypatch, collector):
+        assert run(capsys, "local", "--ordinary", "1/2")[0] == 0
+        assert gc.isenabled() is collector
+        assert run(capsys, "local", "--ordinary", "3/2")[0] == 2
+        assert gc.isenabled() is collector
+        seen = []
+
+        def broken(germ):
+            seen.append(gc.isenabled())
+            raise TypeError("internal")
+
+        monkeypatch.setattr(orbeuler.local, "euler_local", broken)
+        with pytest.raises(TypeError, match="internal"):
+            main(["local", "--ordinary", "1/2"])
+        assert (seen, gc.isenabled()) == ([False], collector)
+
+    @pytest.mark.parametrize("form", ["text", "machine"])
+    @pytest.mark.parametrize("collector", [False], indirect=True, ids=["disabled"])
+    def test_garbage_does_not_grow_with_the_batch(self, capsys, form, collector):
+        # The same cycles (the argument parser's) after 1 document as after
+        # 2000: a command that made a cycle per item would fail here.  The
+        # collector stays off between runs, so only gc.collect() finds them.
+        classes = [
+            lambda i: {"type": "ordinary", "coeffs": [f"1/{2 + i % 5}", f"1/{3 + i % 7}", "1/2"]},
+            lambda i: {"type": "cyclic", "n": 2 + i % 11, "q": 1, "d1": f"1/{1 + i % 4}", "d2": "0"},
+            lambda i: {"type": "star", "b": 2 + i % 3, "arms": [[2, 1, f"1/{1 + i % 6}"], [3, 1, 0], [5, 1, 0]]},
+            lambda i: {"type": "germ_mu_tau", "mu": 1 + i, "tau": i},
+        ]
+
+        def garbage_after(count):
+            docs = json.dumps([classes[i % 4](i) for i in range(count)])
+            gc.collect()
+            assert run(capsys, "--format", form, "local", docs)[0] == 0
+            return gc.collect()
+
+        garbage_after(1)  # the first run may import, and fill caches
+        assert garbage_after(1) == garbage_after(2000)
 
 
 class TestCusps:

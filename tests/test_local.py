@@ -334,7 +334,74 @@ class TestUnchangedRefusals:
         assert validate_star(germ.b, germ.arms) == star_validation_oracle(germ)
 
 
+def outcome(doc):
+    """The printed value of a document, or the type of the error refusing it."""
+    try:
+        return format_rational(euler_local(singularity_from_dict(doc)).value)
+    except ValueError as error:
+        return type(error).__name__
+
+
+# Each template puts one of 1, "1", True and 1.0 in one place; these hash
+# alike or equal each other, and must keep the verdicts listed for them.
+CONFLATED = (1, "1", True, 1.0)
+TEMPLATES = [
+    pytest.param(lambda x: {"type": "ordinary", "coeffs": [x, "1/2"]},
+                 ("0", "0", "InexactError", "InexactError"), id="ordinary-weight"),
+    pytest.param(lambda x: {"type": "cyclic", "n": 5, "q": 2, "d1": x, "d2": "1/3"},
+                 ("0", "0", "InexactError", "InexactError"), id="cyclic-weight"),
+    pytest.param(lambda x: {"type": "cyclic", "n": 2, "q": x, "d1": "1/2", "d2": "1/3"},
+                 ("1/6", "ChainError", "ChainError", "ChainError"), id="cyclic-chain"),
+    pytest.param(lambda x: {"type": "star", "b": 2, "arms": [[2, 1, x], [3, 1, "0"], [5, 1, "1/3"]]},
+                 ("0", "0", "InexactError", "InexactError"), id="star-weight"),
+    pytest.param(lambda x: {"type": "star", "b": 2, "arms": [[2, x, "1/2"], [3, 1, "0"], [5, 1, "1/3"]]},
+                 ("0", "ChainError", "ChainError", "ChainError"), id="star-chain"),
+    pytest.param(lambda x: {"type": "star", "b": x, "arms": [[1, 0, "1/2"], [1, 0, "0"], [2, 1, "1/3"]]},
+                 ("1/3", "ValueError", "ValueError", "ValueError"), id="star-b"),
+]
+
+
+class TestCachedChecks:
+    """The weight and star-shape caches answer exactly as a fresh check would."""
+
+    @pytest.mark.parametrize("order", [CONFLATED, CONFLATED[::-1]], ids=["int-first", "float-first"])
+    @pytest.mark.parametrize("template, verdicts", TEMPLATES)
+    def test_equal_keys_keep_their_own_verdicts(self, template, verdicts, order):
+        # Each entry runs after the others of its order were evaluated, and
+        # cached where they were accepted.  Keyed by repr: as dict keys, 1,
+        # True and 1.0 are one key.
+        expected = dict(zip(map(repr, CONFLATED), verdicts))
+        for x in order:
+            assert (x, outcome(template(x))) == (x, expected[repr(x)])
+
+    @pytest.mark.parametrize("literal", ["3/2", "-1", "1/0", "x", " "])
+    def test_refused_literal_raises_on_every_use(self, literal):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                Ordinary((literal,))
+            with pytest.raises(ValueError):
+                singularity_from_dict({"type": "star", "b": 2, "arms": [[2, 1, literal], [3, 1, 0], [5, 1, 0]]})
+
+    def test_refused_shape_raises_on_every_use(self):
+        for b, arms in ((1, ((2, 1, 0), (3, 2, 0), (5, 4, 0))), (3, ((5, 4, 0), (5, 4, 0), (5, 4, 0)))):
+            for weight in (0, F(1, 2)):
+                germ = star(b, tuple((n, q, weight) for n, q, _ in arms))
+                with pytest.raises(NotQuotientError):
+                    euler_local(germ)
+
+    def test_one_shape_many_weights(self):
+        # The shape is shared; the weight-dependent shares are not.
+        for weight in (F(0), F(1, 3), F(1, 2), F(9, 10), F(1)):
+            germ = star(2, ((2, 1, weight), (3, 1, 0), (5, 1, F(1, 3))))
+            assert euler_local(germ) == oracle(germ)
+
+
 class TestEulerValue:
+    def test_value_is_a_fraction(self):
+        for given, value in ((1, F(1)), ("1/2", F(1, 2)), (F(1, 3), F(1, 3))):
+            result = EulerValue(given, Exactness.EXACT, lc=True).value
+            assert (result, type(result)) == (value, F)
+
     def test_not_lc_must_be_zero(self):
         with pytest.raises(ValueError):
             EulerValue(F(1, 2), Exactness.EXACT, lc=False)

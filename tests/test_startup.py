@@ -3,7 +3,7 @@
 Each case runs in a fresh interpreter, as ``python -m orbeuler`` would, and
 reads back ``sys.modules``: a subcommand must not load the modules that it
 does not run, nor ``multiprocessing`` at any ``--jobs``, nor the slow stdlib
-modules in ``SLOW``.
+modules in ``SLOW``, nor ``decimal``.
 """
 
 import json
@@ -21,7 +21,8 @@ from fixtures import quadrilateral_pair
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 # Runs ``python -m orbeuler <argv>`` under runpy, then prints the exit code
-# and the package, concurrent.futures, multiprocessing and SLOW modules loaded.
+# and the package, concurrent.futures, multiprocessing, SLOW and LAZY modules
+# loaded.
 PROBE = """
 import contextlib, io, json, runpy, sys
 sys.argv = ["orbeuler", "--format", "machine", *json.loads(sys.argv[1])]
@@ -30,7 +31,7 @@ with contextlib.redirect_stdout(io.StringIO()):
         runpy.run_module("orbeuler", run_name="__main__", alter_sys=True)
     except SystemExit as stop:
         code = stop.code
-roots = ("orbeuler", "concurrent", "multiprocessing", "dataclasses", "inspect")
+roots = ("orbeuler", "concurrent", "multiprocessing", "dataclasses", "inspect", "decimal")
 print(json.dumps([code, sorted(m for m in sys.modules if m.partition(".")[0] in roots)]))
 """
 
@@ -40,6 +41,10 @@ POOL = ("concurrent", "multiprocessing")
 # costs a process about 10 ms.  A site hook outside this repository may load
 # them before any CLI code runs, and then they are not the CLI's doing.
 SLOW = ("dataclasses", "inspect")
+# Only a decimal annotation beyond float range needs decimal.  On Python 3.10
+# to 3.13 fractions, which every subcommand imports, loads it itself; then it
+# is not the CLI's doing either.
+LAZY = ("decimal",)
 # Only a batch that forks workers loads the fork machinery.
 FORK = ["orbeuler._fork"]
 APPLICATIONS_ONLY = ["orbeuler.local", "orbeuler.pairs", "orbeuler.germs", *FORK]
@@ -66,9 +71,14 @@ def python(*args):
 
 
 @pytest.fixture(scope="module")
-def slow_at_start():
-    """The SLOW modules that a bare interpreter has already loaded."""
-    return json.loads(python("-c", f"import json, sys; print(json.dumps([m for m in {SLOW!r} if m in sys.modules]))"))
+def loaded_anyway():
+    """The SLOW modules that a bare interpreter has already loaded, and the
+    LAZY ones that it loads on importing fractions."""
+    probe = (
+        f"import json, sys; slow = [m for m in {SLOW!r} if m in sys.modules]; import fractions; "
+        f"print(json.dumps(slow + [m for m in {LAZY!r} if m in sys.modules]))"
+    )
+    return json.loads(python("-c", probe))
 
 
 def loaded_by(argv):
@@ -107,11 +117,11 @@ def loads_any(modules, roots):
         pytest.param(["germ", GERMS, "--jobs", "1"], ["orbeuler.pairs", "orbeuler.applications", *FORK], id="germ-batch-jobs-1"),
     ],
 )
-def test_subcommand_loads_only_what_it_runs(argv, absent, slow_at_start):
+def test_subcommand_loads_only_what_it_runs(argv, absent, loaded_anyway):
     modules = loaded_by(argv)
     assert {"orbeuler", "orbeuler.cli", "orbeuler.rationals"} <= set(modules)
-    slow = [m for m in SLOW if m not in slow_at_start]
-    assert loads_any(modules, [*absent, *POOL, *slow]) == []
+    avoidable = [m for m in (*SLOW, *LAZY) if m not in loaded_anyway]
+    assert loads_any(modules, [*absent, *POOL, *avoidable]) == []
 
 
 @pytest.mark.parametrize("jobs", ["2", "3"])
