@@ -3,18 +3,31 @@
 For a germ ``f`` vanishing at the origin the Milnor number is the local
 dimension of ``O/(f_x, f_y)`` and the Tjurina number that of
 ``O/(f, f_x, f_y)``.  Both come from one exact elimination: the multiples
-x^a y^b g of f_x and f_y, truncated below degree ``cap`` and inserted by
+x^a y^b g of f_x and f_y, truncated below a degree T and inserted by
 a + b, are row-reduced at their lowest monomial in a degree-compatible
 order.  The pivots of degree < N then span the ideal's image modulo
 ``(x, y)^N``, so that one echelon form gives dim(N) of
-``Q[x, y] / (generators + (x, y)^N)`` for every N <= cap at once.  That
+``Q[x, y] / (generators + (x, y)^N)`` for every N <= T at once.  That
 quotient is supported at the origin, and once dim(N) = dim(N + 1)
 Nakayama's lemma certifies that ``(x, y)^N`` lies in the local ideal, so
 the elimination stops there with mu, at N_mu.  The Tjurina ideal contains
 the Jacobian one and so stabilises no later: tau's elimination extends
-mu's echelon form by the multiples of f, truncated below N_mu.  Rows live
-on the monomials of degree < cap: 465 at the default cap 30, ample at desk
-scale.
+mu's echelon form by the multiples of f, truncated below N_mu.
+
+Which T is used changes no dim(N) with N <= T.  Dropping every term of
+degree >= T is a linear projection, and it commutes with the row
+operations; a row's lowest key has degree < T exactly when its projection
+is nonzero, and is then that projection's lowest key.  So the elimination
+of the truncated rows is, up to nonzero scalars, the projection of the
+elimination of rows kept up to any larger degree, and the pivot keys of
+degree < T are the same.  The first T is a + b for the points x^a and
+y^b where f's Newton polygon meets the axes (x^a + y^b stabilises at
+N = a + b - 2), but never above the cap.  A germ not yet stable below
+T < cap is eliminated once more from scratch below the cap, so the
+answer, and the truncation named by a refusal, are those of the cap; a
+larger cap costs nothing for a germ stable by its intercepts.  A
+multiple that keeps one term builds no row: it becomes the pivot
+``{key: +-1}`` or, against a monomial pivot, reduces to zero.
 
 A germ that never stabilises by the cap is reported as
 :class:`NotIsolatedError` (non-isolated singularity, or cap too small); a
@@ -200,31 +213,64 @@ def _reduce_insert(row: dict, pivots: dict) -> None:
                 row.pop(m, None)
 
 
-def _stabilized_dimension(generators: Sequence[Mapping], cap: int, pivots: dict) -> tuple[int, int]:
+def _stabilized_dimension(
+    generators: Sequence[Mapping], truncation: int, pivots: dict
+) -> tuple[int, int] | None:
     """First N with dim(N) = dim(N - 1), and that dim, read off one echelon form.
 
-    dim(N) = N(N+1)/2 - #(pivots of degree < N) for every N <= cap.  The
-    multiple x^a y^b g has order > a + b, so the pivots of degree d are final
-    once the multiples with a + b = d - 1 are in, and dim(d + 1) = dim(d)
-    exactly when all d + 1 monomials of degree d are pivots.  ``pivots`` may
-    already hold the rows of a smaller ideal: the lead order is degree-first,
-    so the pivots of degree < N span the image modulo (x, y)^N of every row
-    inserted, in whatever order.
+    dim(N) = N(N+1)/2 - #(pivots of degree < N) for every N <= truncation.
+    The multiple x^a y^b g has order > a + b, so the pivots of degree d are
+    final once the multiples with a + b = d - 1 are in, and dim(d + 1) =
+    dim(d) exactly when all d + 1 monomials of degree d are pivots.
+    ``pivots`` may already hold the rows of a smaller ideal: the lead order is
+    degree-first, so the pivots of degree < N span the image modulo (x, y)^N
+    of every row inserted, in whatever order.  None when no N <= truncation
+    qualifies.
     """
+    # Each generator's terms as (degree, x-exponent, coefficient).
+    generators = [[(i + j, i, c) for (i, j), c in gen.items()] for gen in generators]
     below = 0
-    for d in range(1, cap):
-        for gen in generators:
-            for a in range(d):
-                row = {(i + j + d - 1, i + a): c for (i, j), c in gen.items() if i + j + d <= cap}
-                _reduce_insert(row, pivots)
+    for d in range(1, truncation):
+        for terms in generators:
+            # The multiples x^a y^(d-1-a) g, a < d, keep the terms of degree < truncation.
+            kept = [(s + d - 1, i, c) for s, i, c in terms if s + d <= truncation]
+            if len(kept) > 1:
+                for a in range(d):
+                    _reduce_insert({(s, i + a): c for s, i, c in kept}, pivots)
+            elif kept:
+                # One term needs no row: a free key takes the primitive pivot
+                # {key: +-1}, and a monomial pivot reduces it to zero.
+                ((s, i, c),) = kept
+                unit = 1 if c > 0 else -1
+                for x in range(i, i + d):
+                    key = (s, x)
+                    pivot = pivots.get(key)
+                    if pivot is None:
+                        pivots[key] = {key: unit}
+                    elif len(pivot) > 1:
+                        _reduce_insert({key: c}, pivots)
         at_d = sum((d, i) in pivots for i in range(d + 1))
         if at_d == d + 1:
             return d * (d + 1) // 2 - below, d + 1
         below += at_d
-    raise NotIsolatedError(
-        f"no stabilisation up to truncation {cap}: "
-        "non-isolated singularity (possibly a non-reduced germ) or cap too small"
-    )
+    return None
+
+
+def _first_truncation(poly: Mapping, cap: int) -> int:
+    """a + b, at most ``cap``, where f's Newton polygon meets the axes at x^a and y^b.
+
+    x^a + y^b stabilises at N = a + b - 2.  Without a pure power of x, the
+    polygon's last edge ends at the lowest x^i y, and extended it meets the
+    axis by x^(2i), which stands in for x^a; likewise for y.  A germ with
+    neither x^a nor x^i y is divisible by y^2, never isolated, and gets the
+    cap; likewise for x.
+    """
+
+    def intercept(axis: int) -> int:
+        pure = [m[axis] for m in poly if m[1 - axis] == 0]
+        return min(pure or [2 * m[axis] for m in poly if m[1 - axis] == 1], default=cap)
+
+    return min(cap, intercept(0) + intercept(1))
 
 
 def milnor_number(f, cap: int = DEFAULT_CAP) -> int:
@@ -252,8 +298,19 @@ def germ_invariants(f, cap: int = DEFAULT_CAP) -> GermInvariants:
     coefficients = germ.coefficients()
     scale = lcm(*(c.denominator for c in coefficients.values()))
     poly = {m: c.numerator * (scale // c.denominator) for m, c in coefficients.items()}
+    jacobian = [_partial(poly, 0), _partial(poly, 1)]
+    truncation = _first_truncation(poly, cap)
     pivots: dict[tuple[int, int], dict] = {}
-    mu, used_mu = _stabilized_dimension([_partial(poly, 0), _partial(poly, 1)], cap, pivots)
+    found = _stabilized_dimension(jacobian, truncation, pivots)
+    if found is None and truncation < cap:
+        pivots = {}
+        found = _stabilized_dimension(jacobian, cap, pivots)
+    if found is None:
+        raise NotIsolatedError(
+            f"no stabilisation up to truncation {cap}: "
+            "non-isolated singularity (possibly a non-reduced germ) or cap too small"
+        )
+    mu, used_mu = found
     tau, used_tau = _stabilized_dimension([poly], used_mu, pivots)
     if mu < tau:
         raise AssertionError(f"mu = {mu} < tau = {tau}: elimination bug")

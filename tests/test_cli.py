@@ -208,6 +208,15 @@ class TestGerm:
         assert code == 2
         assert "stabilisation" in err
 
+    def test_refusal_names_the_cap_after_a_failed_first_truncation(self, capsys):
+        # (x - y)^2 fails below its intercepts' a + b = 4 first, then at the cap.
+        assert run(capsys, "germ", "x^2-2xy+y^2", "--cap", "12") == (
+            2,
+            "",
+            "error: no stabilisation up to truncation 12: "
+            "non-isolated singularity (possibly a non-reduced germ) or cap too small\n",
+        )
+
     def test_parse_error(self, capsys):
         code, _, err = run(capsys, "germ", "z^2")
         assert code == 2

@@ -29,6 +29,10 @@ from orbeuler import (
 PERTURBED_GERM = "x^4+y^5+x^2y^3"
 PERTURBED_TAU = 11
 
+# A_6 after the shear u = x - y: its Newton polygon's intercepts (a + b = 4)
+# undershoot the truncation N = 7 at which it stabilises.
+SHEARED_A6 = "x^2-2xy+y^2+y^7"
+
 ADE_NORMAL_FORMS = (
     [f"x^2+y^{k + 1}" for k in range(1, 9)]          # A_k, k <= 8
     + [f"x^2y+y^{k - 1}" for k in range(4, 7)]       # D_k, k <= 6
@@ -231,19 +235,51 @@ def pivot_tables(monkeypatch):
 
 
 def test_one_pivot_table_per_germ(pivot_tables):
+    # Stabilises at N = 7, within its first truncation a + b = 4 + 5 = 9.
     assert engine_invariants(PERTURBED_GERM, DEFAULT_CAP)[:2] == (12, PERTURBED_TAU)
     assert len({id(t) for t in pivot_tables}) == 1
 
 
-def test_pivot_rows_are_primitive_integer_rows(pivot_tables):
-    assert engine_invariants("6x^4-10/3y^6+15x^2y^3", DEFAULT_CAP) == restart_invariants(
-        CurveGerm.parse("6x^4-10/3y^6+15x^2y^3"), DEFAULT_CAP
+@pytest.mark.parametrize("cap", [7, 64])
+def test_one_restart_past_the_intercepts(pivot_tables, cap):
+    assert engine_invariants(SHEARED_A6, cap) == (6, 6, 7)
+    assert len({id(t) for t in pivot_tables}) == 2
+
+
+def test_failed_first_truncation_is_invisible():
+    # (x - y)^2 is not reduced: the first truncation (4) fails, then the cap does.
+    with pytest.raises(NotIsolatedError) as caught:
+        germ_invariants("x^2-2xy+y^2", 12)
+    assert str(caught.value) == (
+        "no stabilisation up to truncation 12: "
+        "non-isolated singularity (possibly a non-reduced germ) or cap too small"
     )
+
+
+def test_pivot_rows_are_primitive_integer_rows(pivot_tables):
+    for text in ("6x^4-10/3y^6+15x^2y^3", PERTURBED_GERM, SHEARED_A6):
+        expected = restart_invariants(CurveGerm.parse(text), DEFAULT_CAP)
+        assert engine_invariants(text, DEFAULT_CAP) == expected
     rows = [row for pivots in {id(t): t for t in pivot_tables}.values() for row in pivots.values()]
     assert len(rows) > 50
     for row in rows:
         assert all(type(c) is int for c in row.values())
         assert gcd(*row.values()) == 1
+
+
+_SMALL_TERMS = st.tuples(st.integers(0, 7), st.integers(0, 7), _NONZERO_RATIONALS).filter(
+    lambda term: term[0] + term[1] <= 7
+)
+
+
+@given(st.lists(_SMALL_TERMS, min_size=1, max_size=4), st.integers(1, 24))
+def test_matches_restart_oracle(terms, cap):
+    # Caps stay small: the oracle is slow on non-isolated germs at high caps.
+    try:
+        germ = CurveGerm(tuple(terms))
+    except ValueError:
+        return
+    assert outcome(engine_invariants, germ, cap) == outcome(restart_invariants, germ, cap)
 
 
 class TestParsing:
