@@ -30,12 +30,17 @@ enter as ``count * term``, so the work follows the number of distinct germs,
 not the number of points.
 
 The supplied point list is trusted to be all of Sing(X, D): omitting a
-singular point invalidates a certificate.  A point on no component removes
-nothing from any curve, which is right exactly when D is absent there, so
-such a point is rejected unless its germ carries no boundary weight and its
-m_P is 0.  Two surface modes exist: the projective plane (intersection
-numbers from degrees, effectivity decided by total degree) and a generic
-mode with user-supplied pairings and a user-asserted effectivity flag.
+singular point invalidates a certificate.  Two surface modes exist: the
+projective plane (intersection numbers from degrees, effectivity decided by
+total degree) and a generic mode with user-supplied pairings and a
+user-asserted effectivity flag.
+
+A pair is refused (``ValueError``) only when it is built: each record checks
+its own fields, and :class:`PairDescription` the rules that tie them
+together.  Generic pairings must be complete and symmetric, and a point on
+no component, which removes nothing from any curve, must carry no boundary
+weight and have m_P = 0.  Assembly and ``(K_X + D)^2`` only compute, so a
+built pair fails a certificate only where the evaluator refuses a germ.
 """
 
 from __future__ import annotations
@@ -162,8 +167,8 @@ class SingularPointData:
     ``incident`` lists (component id, number of analytic branches of that
     component at the point); ``multiplicity`` is the weight-combined
     multiplicity of D at the point, sum of a_i times the branch
-    multiplicities.  A point with no incidences lies off D, so an assembly
-    rejects it unless its germ carries no boundary weight and m_P is 0.
+    multiplicities.  A point with no incidences lies off D, so a pair
+    refuses it unless its germ carries no boundary weight and m_P is 0.
     """
 
     id: str
@@ -243,6 +248,27 @@ class PairDescription:
             raise ValueError("component id 'K' is reserved in generic mode for K.D_i")
         if self.effective is not None and not isinstance(self.effective, bool):
             raise ValueError(f"effective must be true, false or absent, got {self.effective!r}")
+        for point in points:
+            if not point.incident and (point.multiplicity or any(_boundary_weights(point.local))):
+                raise ValueError(
+                    f"point {point.id} lies on no component, so its germ must carry no "
+                    "boundary weight and its m_P must be 0"
+                )
+        if not self.surface.plane:
+            for component in components:
+                if "K" not in (component.pairings or ()):
+                    raise ValueError(f"component {component.id}: missing pairing entry 'K'")
+            # Both rules are symmetric in the two components, so the first
+            # ordered pair that breaks one has left <= right.
+            for index, left in enumerate(components):
+                for right in components[index:]:
+                    ours, theirs = left.pairings.get(right.id), right.pairings.get(left.id)
+                    if ours is None and theirs is None:
+                        raise ValueError(f"missing pairing entry between {left.id} and {right.id}")
+                    if None not in (ours, theirs) and ours != theirs:
+                        raise ValueError(
+                            f"asymmetric pairing between {left.id} and {right.id}: {ours} vs {theirs}"
+                        )
         self.__dict__["components"] = components
         self.__dict__["points"] = points
 
@@ -320,23 +346,12 @@ def euler_orbifold_global(pair: PairDescription) -> GlobalEuler:
     terms enter with positive sign), and the lc flag records whether every
     supplied point is log canonical.  Each distinct germ is evaluated once,
     when a point first carries it, and enters as ``count * (e_loc - 1)``.
-    A point on no component is refused, before its germ is evaluated, unless
-    its germ carries no boundary weight and its m_P is 0.
     """
     branches = {component.id: 0 for component in pair.components}
-
-    def point_germs():
-        for point in pair.points:
-            if not point.incident and (point.multiplicity or any(_boundary_weights(point.local))):
-                raise ValueError(
-                    f"point {point.id} lies on no component, so its germ must carry no "
-                    "boundary weight and its m_P must be 0"
-                )
-            for component_id, count in point.incident:
-                branches[component_id] += count
-            yield point.local
-
-    germs = _tally(point_germs(), euler_local)
+    for point in pair.points:
+        for component_id, count in point.incident:
+            branches[component_id] += count
+    germs = _tally((point.local for point in pair.points), euler_local)
     base = pair.surface.e_top + sum(
         (c.coeff * (2 * c.genus - 2 + branches[c.id]) for c in pair.components), Fraction(0)
     )
@@ -372,7 +387,8 @@ def _tally(objects, make) -> list:
 
 
 def pair_kd_squared(pair: PairDescription) -> Fraction:
-    """(K_X + D)^2 by bilinear expansion of the supplied pairings.
+    """(K_X + D)^2 by bilinear expansion of the supplied pairings, each
+    D_i.D_j read from whichever of the two components carries it.
 
     Plane mode shortcuts to (sum a_i deg D_i - 3)^2.
     """
@@ -381,32 +397,12 @@ def pair_kd_squared(pair: PairDescription) -> Fraction:
         return (degree - 3) ** 2
     total = Fraction(pair.surface.c1_sq)
     for component in pair.components:
-        total += 2 * component.coeff * _pairing(component, "K")
+        total += 2 * component.coeff * component.pairings["K"]
     for left in pair.components:
         for right in pair.components:
-            total += left.coeff * right.coeff * _intersection(left, right)
+            value = left.pairings.get(right.id, right.pairings.get(left.id))
+            total += left.coeff * right.coeff * value
     return total
-
-
-def _pairing(component: ComponentData, key: str) -> int:
-    if component.pairings is None or key not in component.pairings:
-        raise ValueError(f"component {component.id}: missing pairing entry {key!r}")
-    return component.pairings[key]
-
-
-def _intersection(left: ComponentData, right: ComponentData) -> int:
-    has_left = left.pairings is not None and right.id in left.pairings
-    has_right = right.pairings is not None and left.id in right.pairings
-    if has_left and has_right and left.pairings[right.id] != right.pairings[left.id]:
-        raise ValueError(
-            f"asymmetric pairing between {left.id} and {right.id}: "
-            f"{left.pairings[right.id]} vs {right.pairings[left.id]}"
-        )
-    if has_left:
-        return left.pairings[right.id]
-    if has_right:
-        return right.pairings[left.id]
-    raise ValueError(f"missing pairing entry between {left.id} and {right.id}")
 
 
 def check_bmy(pair: PairDescription) -> BmyReport:
@@ -505,8 +501,8 @@ def max_canonical_degree_extremal(genus: int, points) -> Fraction:
 def pair_from_dict(doc) -> PairDescription:
     """Build a pair description from its document form.
 
-    Top-level keys: ``surface`` (``mode``, plus ``e_top``/``c1_sq`` in
-    generic mode), ``components``, ``points`` and ``effective``.  Rationals
+    Top-level keys: ``surface`` (``mode``, plus ``e_top``/``c1_sq``: 3 and 9
+    in plane mode), ``components``, ``points`` and ``effective``.  Rationals
     are ``"p/q"`` strings throughout, and a point's ``incident`` is a list of
     ``[component id, branches]`` lists.
     """
@@ -516,18 +512,15 @@ def pair_from_dict(doc) -> PairDescription:
     if not isinstance(surface_doc, dict) or "mode" not in surface_doc:
         raise ValueError("pair document needs a 'surface' object with a 'mode'")
     mode = surface_doc["mode"]
-    if mode == "plane":
-        surface = SurfaceData.projective_plane()
-        for key in ("e_top", "c1_sq"):
-            if key in surface_doc and surface_doc[key] != getattr(surface, key):
-                raise ValueError(f"surface.{key} contradicts plane mode")
-    elif mode == "generic":
+    if mode not in ("plane", "generic"):
+        raise ValueError(f"unknown surface mode: {mode!r}")
+    if mode == "generic":
         for key in ("e_top", "c1_sq"):
             if key not in surface_doc:
                 raise ValueError(f"surface.{key} is required in generic mode")
-        surface = SurfaceData.generic(surface_doc["e_top"], surface_doc["c1_sq"])
-    else:
-        raise ValueError(f"unknown surface mode: {mode!r}")
+    surface = SurfaceData(
+        surface_doc.get("e_top", 3), surface_doc.get("c1_sq", 9), plane=mode == "plane"
+    )
 
     component_docs, point_docs = doc.get("components", []), doc.get("points", [])
     for name, value in (("components", component_docs), ("points", point_docs)):

@@ -91,6 +91,9 @@ class TestArrangements:
             ArrangementData.from_counts(3, {2: -3})
         with pytest.raises(InvalidArrangementError):
             ArrangementData(3, ((2, 3), (2, 0)))
+        for entry in (3, (2,), (2, 3, 0)):
+            with pytest.raises(InvalidArrangementError, match=r"^t entry .* is not an \(r, t_r\) pair$"):
+                ArrangementData(3, (entry,))
         for k in (0, -1):
             with pytest.raises(InvalidArrangementError, match="k must be a positive integer"):
                 ArrangementData(k, ())
@@ -221,11 +224,21 @@ class TestCanonicalDegreeBound:
         assert canonical_degree_bound(8, 3, 2, ordinary=False) == F(29, 2)
         assert canonical_degree_bound(9, 3, 2, ordinary=True) == 6
 
-    def test_hypotheses(self):
-        with pytest.raises(ValueError):
-            canonical_degree_bound(6, 3, 0, ordinary=False)
-        with pytest.raises(ValueError):
-            canonical_degree_bound(3, 3, 0, ordinary=True)
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((6, 3, 0, False), "hypothesis c1^2 > 2 c2 fails: 6 <= 6"),
+            ((3, 3, 0, True), "hypothesis c1^2 > c2 fails: 3 <= 3"),
+            ((9.0, 3, 0, True), "c1_sq must be an integer, got 9.0"),
+            ((9, True, 0, True), "c2 must be an integer, got True"),
+            ((9, 3, -1, True), "genus must be a nonnegative integer, got -1"),
+            ((9, 3, "2", False), "genus must be a nonnegative integer, got '2'"),
+        ],
+    )
+    def test_hypotheses(self, args, message):
+        with pytest.raises(ValueError) as caught:
+            canonical_degree_bound(*args[:3], ordinary=args[3])
+        assert str(caught.value) == message
 
     def test_extremal_surfaces_exclude_low_genus(self):
         for c2 in (1, 2, 3, 5, 8):

@@ -777,9 +777,39 @@ class TestBoundAndCheck:
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+def global_doc(surface, components=(), points=()):
+    return json.dumps({"surface": surface, "components": list(components), "points": list(points)})
+
+
+PLANE = {"mode": "plane"}
+QUARTIC = {"id": "C", "a": "1", "genus": 2, "degree": 4}
+ON_C = {"id": "P", "local": {"type": "germ_mu_tau", "mu": 3, "tau": 1}, "incident": [["C", 1]], "m_P": "2"}
+OFF_D = {"id": "R", "local": {"type": "ordinary", "coeffs": ["1/2"]}, "incident": [], "m_P": "0"}
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
+        (("global", "[]"), "expected a pair document, got list"),
+        (("global", global_doc({"mode": "plane", "e_top": 3.0, "c1_sq": 9.0})), "e_top must be an integer, got 3.0"),
+        (("global", global_doc({"mode": "plane", "e_top": True})), "e_top must be an integer, got True"),
+        (("global", global_doc({"mode": "plane", "c1_sq": "9"})), "c1_sq must be an integer, got '9'"),
+        (("global", global_doc(PLANE, [QUARTIC], [ON_C, ON_C])), "point ids must be unique"),
+        (("global", global_doc(PLANE, [QUARTIC], [{**ON_C, "m_P": "-2"}])), "multiplicity must be nonnegative"),
+        (
+            (
+                "global",
+                global_doc(
+                    {"mode": "generic", "e_top": 4, "c1_sq": 8},
+                    [{**QUARTIC, "pairings": {"K": -4, "C": 2}}, {"id": "E", "a": "1", "genus": 0,
+                                                                   "pairings": {"K": -2, "E": 0}}],
+                ),
+            ),
+            "missing pairing entry between C and E",
+        ),
+        # The germ at P is refused at evaluation, but R is refused when the
+        # pair is built, wherever it stands.
+        (("global", global_doc(PLANE, [QUARTIC], [ON_C, OFF_D])), "point R lies on no component"),
         (("local", "--jobs", "0", "--ordinary", "1/2"), "--jobs must be >= 1"),
         (("local", "--ordinary", "1/2", "--cyclic", "2,1,0,0"), "several inline flags"),
         (("local", "--star", "1;2,1,0;3,1,0"), "--star needs"),

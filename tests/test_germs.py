@@ -409,9 +409,23 @@ class TestLctObstruction:
         assert lct_obstruction([(12, 11)]) == (1, "LCT-fails")
         assert lct_obstruction([]) == (0, "no-obstruction")
 
-    def test_rejects_mu_below_tau(self):
-        with pytest.raises(ValueError):
-            lct_obstruction([(1, 2)])
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: lct_obstruction([(1, 2)]), "need mu >= tau >= 0, got (mu, tau) = (1, 2)"),
+            (lambda: lct_obstruction([(2.0, 1)]), "mu must be an integer, got 2.0"),
+            (lambda: lct_obstruction([(2, True)]), "tau must be an integer, got True"),
+            (lambda: log_chern_c2(3.0, 18, []), "c2_surface must be an integer, got 3.0"),
+            (lambda: log_chern_c2(3, 18, [2, "2"]), "tau must be an integer, got '2'"),
+            (lambda: euler_top_complement(3, True, []), "kd_dot_d must be an integer, got True"),
+            (lambda: euler_top_complement(3, 0, [F(1)]), "mu must be an integer, got Fraction(1, 1)"),
+        ],
+    )
+    def test_bad_arguments_rejected(self, call, message):
+        # The last four pin the integrality checks of the two adjoint differences.
+        with pytest.raises(ValueError) as caught:
+            call()
+        assert str(caught.value) == message
 
 
 def test_full_ade_suite():

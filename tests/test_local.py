@@ -594,11 +594,20 @@ class TestCoverDegree:
         assert cover_degree(F(1, 2), 2, 2, 2).degree == 8
         assert cover_degree(F(1, 6), 2, 3, 3).degree == 24
 
-    def test_non_spherical_rejected(self):
-        with pytest.raises(ValueError):
-            cover_degree(F(1, 2), 3, 3, 3)
-        with pytest.raises(ValueError):
-            cover_degree(F(0), 2, 3, 5)
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((F(1, 2), 3, 3, 3), "(3, 3, 3) is not a spherical triple"),
+            ((F(0), 2, 3, 5), "b0 must be positive, got 0"),
+            ((F(1, 2), 0, 3, 5), "triple entries must be positive integers, got 0"),
+            ((F(1, 2), 2, 3.0, 5), "triple entries must be positive integers, got 3.0"),
+            ((F(1, 2), 2, 3, True), "triple entries must be positive integers, got True"),
+        ],
+    )
+    def test_non_spherical_rejected(self, args, message):
+        with pytest.raises(ValueError) as caught:
+            cover_degree(*args)
+        assert str(caught.value) == message
 
 
 class TestCoverOracle:

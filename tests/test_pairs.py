@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import orbeuler.pairs
 from orbeuler import (
     Chain,
     ComponentData,
@@ -62,23 +63,32 @@ def chains(draw):
     return Chain(n, draw(st.sampled_from(coprime_residues(n))))
 
 
+def weighted_locals(weight):
+    """Ordinary, cyclic and star germs whose boundary weights draw from ``weight``."""
+    return st.one_of(
+        st.builds(Ordinary, st.lists(weight, min_size=1, max_size=5).map(tuple)),
+        st.builds(CyclicQuotient, chains(), weight, weight),
+        st.builds(
+            StarQuotient,
+            st.integers(min_value=1, max_value=6),
+            st.lists(st.tuples(chains(), weight), min_size=3, max_size=3).map(
+                lambda arms: tuple((chain.n, chain.q, d) for chain, d in arms)
+            ),
+        ),
+    )
+
+
 ordinary_points = st.builds(Ordinary, st.lists(weights, min_size=1, max_size=5).map(tuple))
 cyclic_points = st.builds(CyclicQuotient, chains(), weights, weights)
 
 local_singularities = st.one_of(
-    ordinary_points,
-    cyclic_points,
-    st.builds(
-        StarQuotient,
-        st.integers(min_value=1, max_value=6),
-        st.lists(st.tuples(chains(), weights), min_size=3, max_size=3).map(
-            lambda arms: tuple((chain.n, chain.q, d) for chain, d in arms)
-        ),
-    ),
+    weighted_locals(weights),
     st.integers(min_value=0, max_value=40).flatmap(
         lambda mu: st.builds(ReducedGerm, st.just(mu), st.integers(min_value=0, max_value=mu))
     ),
 )
+# A point on no component must put no boundary weight there.
+unweighted_locals = weighted_locals(st.just(F(0)))
 ids = st.lists(st.text(min_size=1, max_size=4), max_size=5, unique=True)
 
 
@@ -119,28 +129,40 @@ certifiable_locals = st.one_of(
 )
 
 
+def pairing_tables(draw, component_ids):
+    """Complete symmetric generic pairings, one dict per component: each
+    D_i.D_j with i != j sits on one of the two components or on both."""
+    pairing = st.integers(min_value=-40, max_value=40)
+    tables = {cid: {"K": draw(pairing)} for cid in component_ids}
+    for index, left in enumerate(component_ids):
+        for right in component_ids[index:]:
+            value = draw(pairing)
+            sides = (left,) if left == right else draw(st.sampled_from([(left,), (right,), (left, right)]))
+            for side in sides:
+                tables[side][right if side == left else left] = value
+    return tables
+
+
 @st.composite
 def pair_descriptions(draw):
-    """Plane or generic pairs whose points draw from all four local classes."""
+    """Plane or generic pairs whose points draw from all four local classes;
+    a point on no component carries a germ without boundary weight and m_P 0."""
     plane = draw(st.booleans())
     # Generic mode reserves the id "K" for the pairing key K.D_i.
     component_ids = draw(ids if plane else ids.filter(lambda names: "K" not in names))
-    degree = st.integers(min_value=1, max_value=12)
-    pairings = st.dictionaries(
-        st.sampled_from(["K", *component_ids]), st.integers(min_value=-40, max_value=40)
-    )
-    components = []
-    for cid in component_ids:
-        use_degree = plane or draw(st.booleans())
-        components.append(
-            ComponentData(
-                id=cid,
-                coeff=draw(weights),
-                genus=draw(st.integers(min_value=0, max_value=10)),
-                degree=draw(degree) if use_degree else None,
-                pairings=None if use_degree else draw(pairings),
-            )
+    tables = None if plane else pairing_tables(draw, component_ids)
+    components = [
+        ComponentData(
+            id=cid,
+            coeff=draw(weights),
+            genus=draw(st.integers(min_value=0, max_value=10)),
+            degree=draw(st.integers(min_value=1, max_value=12))
+            if plane or draw(st.booleans())
+            else None,
+            pairings=None if plane else tables[cid],
         )
+        for cid in component_ids
+    ]
     incidences = (
         st.lists(
             st.tuples(st.sampled_from(component_ids), st.integers(min_value=1, max_value=4)),
@@ -150,15 +172,19 @@ def pair_descriptions(draw):
         if component_ids
         else st.just(())
     )
-    points = [
-        SingularPointData(
-            id=pid,
-            local=draw(local_singularities),
-            incident=draw(incidences),
-            multiplicity=draw(st.fractions(min_value=0, max_value=12, max_denominator=24)),
+    points = []
+    for pid in draw(ids):
+        incident = draw(incidences)
+        points.append(
+            SingularPointData(
+                id=pid,
+                local=draw(local_singularities if incident else unweighted_locals),
+                incident=incident,
+                multiplicity=draw(st.fractions(min_value=0, max_value=12, max_denominator=24))
+                if incident
+                else F(0),
+            )
         )
-        for pid in draw(ids)
-    ]
     return PairDescription(
         draw(surfaces(plane)),
         tuple(components),
@@ -178,27 +204,20 @@ def surfaces(plane):
 def certifiable_pairs(draw):
     """Pairs :func:`check_bmy` certifies, with every point on some component.
 
-    Every germ is one the evaluator accepts, and generic pairings are
-    complete and symmetric.
+    Every germ is one the evaluator accepts.
     """
     plane = draw(st.booleans())
     names = st.lists(st.text(min_size=1, max_size=4), min_size=1, max_size=5, unique=True)
     # Generic mode reserves the id "K" for the pairing key K.D_i.
     component_ids = draw(names if plane else names.filter(lambda found: "K" not in found))
-    pairing = st.integers(min_value=-40, max_value=40)
-    table = {}
-    for index, left in enumerate(component_ids):
-        for right in component_ids[index:]:
-            table[left, right] = table[right, left] = draw(pairing)
+    tables = None if plane else pairing_tables(draw, component_ids)
     components = tuple(
         ComponentData(
             id=cid,
             coeff=draw(weights),
             genus=draw(st.integers(min_value=0, max_value=10)),
             degree=draw(st.integers(min_value=1, max_value=12)) if plane else None,
-            pairings=None
-            if plane
-            else {"K": draw(pairing), **{other: table[cid, other] for other in component_ids}},
+            pairings=None if plane else tables[cid],
         )
         for cid in component_ids
     )
@@ -444,28 +463,29 @@ class TestOffBoundary:
 
     @pytest.mark.parametrize("name", INCONSISTENT_OFF_BOUNDARY)
     def test_inconsistent_point_is_rejected(self, name):
+        # The pair is refused when it is built, so no checker ever sees it.
         germ, multiplicity = INCONSISTENT_OFF_BOUNDARY[name]
-        pair = rebuilt(
-            quotient_point_pair(),
-            points=quotient_point_pair().points + (off_boundary_point("R", germ, multiplicity),),
-        )
-        for checker in (euler_orbifold_global, check_bmy, check_bmy_multiplicities):
-            with pytest.raises(ValueError, match="^point R lies on no component"):
-                checker(pair)
+        with pytest.raises(ValueError, match="^point R lies on no component"):
+            rebuilt(
+                quotient_point_pair(),
+                points=quotient_point_pair().points + (off_boundary_point("R", germ, multiplicity),),
+            )
 
-    def test_rejected_before_its_germ_is_evaluated(self):
+    def test_rejected_before_its_germ_is_evaluated(self, monkeypatch):
         # mu - tau = 2 is refused by the evaluator, but the point is refused first.
-        pair = rebuilt(quotient_point_pair(), points=(off_boundary_point("R", ReducedGerm(3, 1)),))
+        monkeypatch.setattr(orbeuler.pairs, "euler_local", None)
         with pytest.raises(ValueError, match="^point R lies on no component"):
-            euler_orbifold_global(pair)
+            rebuilt(quotient_point_pair(), points=(off_boundary_point("R", ReducedGerm(3, 1)),))
 
-    def test_errors_in_point_order(self):
+    @pytest.mark.parametrize("bad_first", [True, False], ids=["bad-first", "refused-germ-first"])
+    def test_refused_before_a_refused_germ(self, bad_first):
+        # A structural fault is found when the pair is built, so it is the
+        # one reported wherever it stands among the points.
         refused = refused_germ_pair()
-        bad = off_boundary_point("R", Ordinary((F(1, 2),)))
+        bad = (off_boundary_point("R", Ordinary((F(1, 2),))),)
+        points = bad + refused.points if bad_first else refused.points + bad
         with pytest.raises(ValueError, match="^point R lies on no component"):
-            check_bmy(rebuilt(refused, points=(bad,) + refused.points))
-        with pytest.raises(ValueError, match="mu - tau = 2 > 1"):
-            check_bmy(rebuilt(refused, points=refused.points + (bad,)))
+            rebuilt(refused, points=points)
 
 
 class TestKdSquared:
@@ -477,15 +497,48 @@ class TestKdSquared:
     def test_generic_bilinear_expansion(self):
         assert pair_kd_squared(quadric_pair()) == 8
 
-    def test_missing_pairing(self):
-        pair = PairDescription(
-            SurfaceData.generic(4, 8),
-            (ComponentData(id="D", coeff=F(1), genus=9, pairings={"K": -16}),),
-            (),
-            effective=True,
+    @pytest.mark.parametrize(
+        "pairings, message",
+        [
+            ((None, {"K": 0, "B": 0}), "component A: missing pairing entry 'K'"),
+            (({"A": 0}, {"B": 0}), "component A: missing pairing entry 'K'"),
+            (({"K": 0, "A": 0}, {"B": 0}), "component B: missing pairing entry 'K'"),
+            (({"K": 0}, {"K": 0, "B": 0, "A": 1}), "missing pairing entry between A and A"),
+            (({"K": 0, "A": 0}, {"K": 0, "B": 0}), "missing pairing entry between A and B"),
+            (({"K": 0, "A": 0, "B": 1}, {"K": 0}), "missing pairing entry between B and B"),
+            (
+                ({"K": 0, "A": 0, "B": 1}, {"K": 0, "B": 0, "A": 2}),
+                "asymmetric pairing between A and B: 1 vs 2",
+            ),
+        ],
+    )
+    def test_incomplete_or_asymmetric_pairings_refused(self, pairings, message):
+        # Generic pairings are complete and symmetric once the pair is built,
+        # so (K+D)^2 never meets a missing or contradicting entry.
+        components = tuple(
+            ComponentData(id=cid, coeff=F(1), genus=0, pairings=table)
+            for cid, table in zip("AB", pairings)
         )
-        with pytest.raises(ValueError):
-            pair_kd_squared(pair)
+        with pytest.raises(ValueError) as caught:
+            PairDescription(SurfaceData.generic(4, 8), components, (), effective=True)
+        assert str(caught.value) == message
+
+    def test_pairing_on_one_side_suffices(self):
+        def two_curves(first):
+            return PairDescription(
+                SurfaceData.generic(4, 8),
+                (
+                    ComponentData(id="A", coeff=F(1, 2), genus=0, pairings=first),
+                    ComponentData(id="B", coeff=F(1, 3), genus=0, pairings={"K": -3, "B": 1, "A": 2}),
+                ),
+                (),
+                effective=True,
+            )
+
+        # 8 + 2 (-1 - 1) + (0 + 2 * 1/6 * 2 + 1/9)
+        expected = F(43, 9)
+        assert pair_kd_squared(two_curves({"K": -2, "A": 0})) == expected
+        assert pair_kd_squared(two_curves({"K": -2, "A": 0, "B": 2})) == expected
 
     def test_component_id_k_reserved_in_generic_mode(self):
         def one_curve(surface, name):
@@ -521,20 +574,6 @@ class TestKdSquared:
             )
             with pytest.raises(ValueError, match="component A: pairing key 'B'"):
                 PairDescription(surface, (component,), (), effective=True)
-
-    def test_asymmetric_pairing_rejected(self):
-        pair = PairDescription(
-            SurfaceData.generic(4, 8),
-            (
-                ComponentData(id="A", coeff=F(1), genus=0, pairings={"K": 0, "A": 0, "B": 1}),
-                ComponentData(id="B", coeff=F(1), genus=0, pairings={"K": 0, "B": 0, "A": 2}),
-            ),
-            (),
-            effective=True,
-        )
-        with pytest.raises(ValueError):
-            pair_kd_squared(pair)
-
 
 class TestCheckBmy:
     def test_quadrilateral_equality(self):
@@ -650,9 +689,20 @@ class TestCurveDegreeCap:
         assert max_canonical_degree_extremal(2, [(2, 2)]) == 3
         assert max_canonical_degree_extremal(1, [(1, 2)]) == F(-3, 2)
 
-    def test_branches_cannot_exceed_multiplicity(self):
-        with pytest.raises(ValueError):
-            max_canonical_degree_extremal(0, [(3, 2)])
+    @pytest.mark.parametrize(
+        "genus, points, message",
+        [
+            (0, [(3, 2)], "branches r = 3 exceed multiplicity m = 2"),
+            (-1, [], "genus must be a nonnegative integer, got -1"),
+            (F(1), [], "genus must be a nonnegative integer, got Fraction(1, 1)"),
+            (0, [(0, 2)], "branch count must be a positive integer, got 0"),
+            (0, [(True, 2)], "branch count must be a positive integer, got True"),
+        ],
+    )
+    def test_bad_arguments_rejected(self, genus, points, message):
+        with pytest.raises(ValueError) as caught:
+            max_canonical_degree_extremal(genus, points)
+        assert str(caught.value) == message
 
 
 class TestDocuments:
@@ -713,10 +763,12 @@ class TestDocuments:
             SingularPointData("P", Ordinary((F(1),)), incident, F(1))
         assert str(caught.value) == f"point P: {message}"
 
-    def test_duplicate_ids_rejected(self):
-        component = ComponentData(id="C", coeff=F(1), genus=0, degree=3)
-        with pytest.raises(ValueError):
-            PairDescription(SurfaceData.projective_plane(), (component, component), ())
+    @pytest.mark.parametrize("field", ["components", "points"])
+    def test_duplicate_ids_rejected(self, field):
+        pair = quadrilateral_pair()
+        twice = getattr(pair, field)[:1] * 2
+        with pytest.raises(ValueError, match=f"^{field[:-1]} ids must be unique$"):
+            rebuilt(pair, **{field: twice})
 
     def test_plane_mode_requires_degree(self):
         with pytest.raises(ValueError):
@@ -726,12 +778,31 @@ class TestDocuments:
                 (),
             )
 
-    def test_bad_documents(self):
-        with pytest.raises(ValueError):
-            pair_from_dict({"surface": {"mode": "weird"}})
-        with pytest.raises(ValueError):
-            pair_from_dict({"surface": {"mode": "generic", "e_top": 4}})
-        with pytest.raises(ValueError):
-            pair_from_dict(
-                {"surface": {"mode": "plane", "e_top": 5}, "components": [], "points": []}
-            )
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ([], "expected a pair document, got list"),
+            ({"surface": {"mode": "weird"}}, "unknown surface mode: 'weird'"),
+            ({"surface": {"mode": "generic", "e_top": 4}}, "surface.c1_sq is required in generic mode"),
+            ({"surface": {"mode": "plane", "e_top": 5}}, "plane mode fixes e_top = 3 and c1_sq = 9"),
+            # Plane mode reads its surface numbers by the rule generic mode does.
+            ({"surface": {"mode": "plane", "e_top": 3.0}}, "e_top must be an integer, got 3.0"),
+            ({"surface": {"mode": "plane", "c1_sq": True}}, "c1_sq must be an integer, got True"),
+            ({"surface": {"mode": "plane", "e_top": "3"}}, "e_top must be an integer, got '3'"),
+            (
+                {
+                    "surface": {"mode": "plane"},
+                    "components": [{"id": "C", "a": "1", "genus": 0, "degree": 3}],
+                    "points": [
+                        {"id": "P", "local": {"type": "ordinary", "coeffs": ["1"]},
+                         "incident": [["C", 1]], "m_P": "-1"},
+                    ],
+                },
+                "point P: multiplicity must be nonnegative",
+            ),
+        ],
+    )
+    def test_bad_documents(self, doc, message):
+        with pytest.raises(ValueError) as caught:
+            pair_from_dict(doc)
+        assert str(caught.value) == message
