@@ -88,7 +88,7 @@ class ArrangementData:
                 f"pair-count identity fails: sum t_r r(r-1) = {pair_count} "
                 f"but k(k-1) = {self.k * (self.k - 1)}"
             )
-        self.__dict__["t"] = tuple(normalized)
+        self._set["t"](self, tuple(normalized))
 
     @classmethod
     def from_counts(cls, k: int, t: Mapping) -> "ArrangementData":

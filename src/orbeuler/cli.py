@@ -160,15 +160,18 @@ def _cmd_local(args):
 
     docs = _local_inputs(args)
     results = _parallel_map(_eval_local_docs, docs, args.jobs)
+    tags = sorted({_LOCAL_TAGS[doc["type"]] for doc in docs})
+    # A batch never holds its documents and its output at once, and the
+    # output does not hold the results, which go when this handler returns.
+    del docs
     kinds = {member: member.value for member in Exactness}
     items = [
         {"value": _rat(value.value), "kind": kinds[value.exactness], "lc": value.lc_label()}
         for value in results
     ]
-    tags = sorted({_LOCAL_TAGS[doc["type"]] for doc in docs})
     lines = (
-        f"value={item['value']} (~{_decimal(result.value)}) kind={item['kind']} lc={item['lc']}"
-        for item, result in zip(items, results)
+        f"value={item['value']} (~{_decimal(item['value'])}) kind={item['kind']} lc={item['lc']}"
+        for item in items
     )
     values = items[0] if len(items) == 1 else {"items": items}
     return "computed", values, tags, lines, None
@@ -421,8 +424,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # Apart from its argument parser, a command allocates only acyclic data
-    # and holds it until it returns, so the cyclic collector would walk it
+    # Apart from its argument parser, a command allocates only acyclic data,
+    # which reference counting frees, so the cyclic collector would walk it
     # for nothing; forked --jobs workers inherit the setting.  The caller's
     # setting is restored.
     enabled = gc.isenabled()

@@ -106,7 +106,7 @@ class CurveGerm:
             raise ValueError("germ is identically zero")
         if (0, 0) in combined:
             raise ValueError("germ must vanish at the origin (no constant term)")
-        self.__dict__["terms"] = tuple(sorted((i, j, c) for (i, j), c in combined.items()))
+        self._set["terms"](self, tuple(sorted((i, j, c) for (i, j), c in combined.items())))
 
     @classmethod
     def parse(cls, text: str) -> "CurveGerm":

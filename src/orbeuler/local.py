@@ -104,7 +104,8 @@ class EulerValue:
     def __post_init__(self):
         value = self.value
         if value.__class__ is not Fraction:
-            value = self.__dict__["value"] = as_rational(value)
+            value = as_rational(value)
+            self._set["value"](self, value)
         if not isinstance(self.exactness, Exactness):
             raise TypeError("exactness must be an Exactness member")
         if not self.lc and value.numerator != 0:
@@ -160,7 +161,7 @@ class Ordinary:
         vals = tuple(map(_weight, self.coeffs))
         if not vals:
             raise ValueError("an ordinary point needs at least one branch")
-        self.__dict__["coeffs"] = vals
+        self._set["coeffs"](self, vals)
 
 
 @record
@@ -172,10 +173,10 @@ class CyclicQuotient:
     d2: Fraction
 
     def __post_init__(self):
-        fields = self.__dict__
-        fields["chain"] = _as_chain(self.chain)
-        fields["d1"] = _weight(self.d1)
-        fields["d2"] = _weight(self.d2)
+        store = self._set
+        store["chain"](self, _as_chain(self.chain))
+        store["d1"](self, _weight(self.d1))
+        store["d2"](self, _weight(self.d2))
 
 
 @record
@@ -186,9 +187,9 @@ class StarArm:
     d: Fraction
 
     def __post_init__(self):
-        fields = self.__dict__
-        fields["chain"] = _as_chain(self.chain)
-        fields["d"] = _weight(self.d)
+        store = self._set
+        store["chain"](self, _as_chain(self.chain))
+        store["d"](self, _weight(self.d))
 
     @property
     def n(self) -> int:
@@ -212,7 +213,7 @@ class StarQuotient:
         arms = tuple(arm if isinstance(arm, StarArm) else _star_arm(arm) for arm in self.arms)
         if len(arms) != 3:
             raise ValueError(f"a star has exactly 3 arms, got {len(arms)}")
-        self.__dict__["arms"] = arms
+        self._set["arms"](self, arms)
 
 
 def _star_arm(entry) -> StarArm:

@@ -138,7 +138,7 @@ class ComponentData:
             raise ValueError(
                 f"component {self.id}: weight {format_rational(coeff)} outside [0, 1]"
             )
-        self.__dict__["coeff"] = coeff
+        self._set["coeff"](self, coeff)
         if not is_integer(self.genus) or self.genus < 0:
             raise ValueError(f"component {self.id}: genus must be a nonnegative integer")
         if self.degree is not None:
@@ -157,7 +157,7 @@ class ComponentData:
                     raise ValueError(
                         f"component {self.id}: pairing {key!r} must be an integer, got {value!r}"
                     )
-            self.__dict__["pairings"] = pairings
+            self._set["pairings"](self, pairings)
 
 
 @record
@@ -203,11 +203,11 @@ class SingularPointData:
                 raise ValueError(f"point {self.id}: component {component_id!r} listed twice")
             seen.add(component_id)
             normalized.append((component_id, branches))
-        self.__dict__["incident"] = tuple(normalized)
+        self._set["incident"](self, tuple(normalized))
         multiplicity = as_rational(self.multiplicity)
         if multiplicity.numerator < 0:
             raise ValueError(f"point {self.id}: multiplicity must be nonnegative")
-        self.__dict__["multiplicity"] = multiplicity
+        self._set["multiplicity"](self, multiplicity)
 
 
 @record
@@ -269,8 +269,8 @@ class PairDescription:
                         raise ValueError(
                             f"asymmetric pairing between {left.id} and {right.id}: {ours} vs {theirs}"
                         )
-        self.__dict__["components"] = components
-        self.__dict__["points"] = points
+        self._set["components"](self, components)
+        self._set["points"](self, points)
 
 
 @record

@@ -6,6 +6,7 @@ import math
 import os
 import select
 import signal
+import weakref
 from fractions import Fraction as F
 
 import pytest
@@ -1010,6 +1011,47 @@ class TestJobs:
             os.close(dying)
             os.close(died)
         assert seen == [[dying]]
+
+    @pytest.mark.parametrize("form", ["text", "machine"])
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_local_drops_its_documents_before_output(self, capsys, cpus, monkeypatch, form, jobs):
+        cpus(2)
+        argv = ("--format", form, "local", JOBS_LOCAL_DOCS, "--jobs", jobs)
+        expected = run(capsys, *argv)
+
+        class Weak(list):
+            pass
+
+        refs = {}
+
+        def kept(name, function):
+            def call(*args):
+                value = Weak(function(*args))
+                refs[name] = weakref.ref(value)
+                return value
+
+            return call
+
+        calls = []
+
+        def watched(name, function):
+            def call(*args, **kwargs):
+                calls.append((name, sorted(key for key, ref in refs.items() if ref() is not None)))
+                return function(*args, **kwargs)
+
+            return call
+
+        cli = orbeuler.cli
+        monkeypatch.setattr(cli, "_local_inputs", kept("documents", cli._local_inputs))
+        monkeypatch.setattr(cli, "_parallel_map", kept("results", cli._parallel_map))
+        monkeypatch.setattr(cli, "_rat", watched("_rat", cli._rat))
+        monkeypatch.setattr(cli, "_decimal", watched("_decimal", cli._decimal))
+        monkeypatch.setattr(cli.json, "dumps", watched("json.dumps", json.dumps))
+        assert run(capsys, *argv) == expected
+        # Each value is formatted after the documents are gone, and the
+        # output is written after the results are gone too.
+        written = [("json.dumps", [])] if form == "machine" else [("_decimal", [])] * 4
+        assert calls == [("_rat", ["results"])] * 4 + written
 
     @pytest.mark.parametrize("command", ["germ", "local"])
     @pytest.mark.parametrize("jobs", ["2", "3"])

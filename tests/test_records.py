@@ -5,10 +5,12 @@ same instances.
 """
 
 import pickle
+import weakref
 from fractions import Fraction as F
 
 import pytest
 
+import orbeuler._record
 from orbeuler import (
     ArrangementData,
     BmyReport,
@@ -153,18 +155,23 @@ def test_equal_values_are_equal_and_hash_equal(record):
     assert hash(other) == hash(value)
 
 
+def fields(value):
+    return {name: getattr(value, name) for name in value._fields}
+
+
 def test_equal_only_within_one_class(record):
     _, _, value = record
     lookalike = type("Lookalike", (type(value),), {})
     copy = object.__new__(lookalike)
-    object.__getattribute__(copy, "__dict__").update(vars(value))
+    for name, field in fields(value).items():
+        object.__setattr__(copy, name, field)
     assert copy != value and value != copy
-    assert value != tuple(vars(value).values())
+    assert value != tuple(fields(value).values())
 
 
 def test_assignment_and_deletion_are_refused(record):
     _, _, value = record
-    field = next(iter(vars(value)))
+    field = value._fields[0]
     before = repr(value)
     with pytest.raises(AttributeError):
         setattr(value, field, None)
@@ -173,6 +180,34 @@ def test_assignment_and_deletion_are_refused(record):
     with pytest.raises(AttributeError):
         value.unknown = None
     assert repr(value) == before
+
+
+# The fields a constructor may omit, and what it stores for them.
+DEFAULTS = {
+    "SurfaceData": {"plane": False},
+    "ComponentData": {"degree": None, "pairings": None},
+    "PairDescription": {"effective": None},
+    "IneqReport": {"notes": ()},
+    "BmyReport": {"notes": ()},
+}
+
+
+def test_required_fields_and_defaults(record):
+    _, _, value = record
+    cls, defaults = type(value), DEFAULTS.get(type(value).__name__, {})
+    required = {name: field for name, field in fields(value).items() if name not in defaults}
+    for name in required:
+        with pytest.raises(TypeError):
+            cls(**{other: field for other, field in required.items() if other != name})
+    built = cls(**required)
+    assert fields(built) == {**required, **defaults}
+
+
+def test_no_instance_dict(record):
+    _, _, value = record
+    assert not hasattr(value, "__dict__")
+    with pytest.raises(TypeError):
+        weakref.ref(value)
 
 
 def test_pickle_round_trip(record):
@@ -190,6 +225,16 @@ def test_bmy_report_fields_are_keyword_only():
         BmyReport(*base, report.global_value, report.multiplicities)
     rebuilt = BmyReport(*base, global_value=report.global_value, multiplicities=report.multiplicities)
     assert rebuilt == report
+
+
+def test_a_nested_record_keeps_its_qualname():
+    @orbeuler._record.record
+    class Point:
+        x: int
+        y: int = 0
+
+    assert Point.__qualname__.endswith("<locals>.Point")
+    assert repr(Point(1)) == f"{Point.__qualname__}(x=1, y=0)"
 
 
 def test_post_init_runs_through_the_instance(monkeypatch):
