@@ -3,7 +3,9 @@
 Importing ``dataclasses`` loads ``inspect`` and costs a CLI process about
 10 ms, and each frozen dataclass about another millisecond of generated
 code, before any work is done.  :func:`record` gives a class the methods a
-frozen dataclass had, generated with one ``exec`` per class.
+frozen dataclass had.  Only ``__init__`` is generated, with one ``exec`` per
+class; equality, hashing and pickling are shared functions that read the
+fields through the class's :func:`operator.attrgetter`.
 
 A record keeps its fields in ``__slots__`` and has no per-instance
 ``__dict__``, which a batch or a pair would pay for once per record: on
@@ -14,6 +16,8 @@ of its field values.
 
 from __future__ import annotations
 
+from operator import attrgetter
+
 
 def record(cls=None, *, kw_only=False):
     """Make ``cls`` a frozen record over its annotated fields.
@@ -23,15 +27,17 @@ def record(cls=None, *, kw_only=False):
     record base's default, and ``kw_only`` makes the class's own fields
     keyword-only.  The class is rebuilt with ``__slots__`` of its own fields,
     so the returned class is a new object.  As with
-    ``@dataclass(frozen=True)`` it gets an ``__init__`` that stores the
-    fields and then calls ``self.__post_init__()`` if the class has one;
+    ``@dataclass(frozen=True)`` it gets a generated ``__init__`` that stores
+    the fields and then calls ``self.__post_init__()`` if the class has one;
     ``__eq__`` and ``__hash__`` over the field values, equal only within one
     class; the ``Cls(f=v, ...)`` ``__repr__``; ``__match_args__`` of the
     positional fields; and ``__setattr__`` and ``__delattr__`` that raise
     :class:`AttributeError`.  ``__post_init__`` replaces a normalised field
     with ``self._set[name](self, value)``: ``_set`` maps each field to the
     setter of its slot.  ``__getstate__`` and ``__setstate__`` pickle an
-    instance as the tuple of its field values.
+    instance as the tuple of its field values.  All but ``__init__`` are the
+    same functions for every record; they read the fields with the class's
+    ``_values`` getter.
     """
     if cls is None:
         return lambda cls: record(cls, kw_only=kw_only)
@@ -51,46 +57,57 @@ def record(cls=None, *, kw_only=False):
         __qualname__=cls.__qualname__,
         _fields=fields,
         _defaults=defaults,
+        # One field gives a bare value; eq and hash only compare it, and
+        # __getstate__ wraps it so that pickle always gets a tuple.
+        _values=attrgetter(*fields),
         __match_args__=positional,
         __repr__=_repr,
+        __eq__=_eq,
+        __hash__=_hash,
+        __getstate__=_getstate,
+        __setstate__=_setstate,
         __setattr__=_refuse_assignment,
         __delattr__=_refuse_deletion,
     )
     cls = type(cls)(cls.__name__, cls.__bases__, namespace)
-    setters = {name: getattr(cls, name).__set__ for name in fields}
+    cls._set = {name: getattr(cls, name).__set__ for name in fields}
 
     def param(name):
         return f"{name}=_defaults[{name!r}]" if name in defaults else name
 
     params = ["self", *map(param, positional), *(["*", *map(param, keyword)] if keyword else [])]
-    values, others = ("".join(f"{side}.{name}, " for name in fields) for side in ("self", "other"))
-    stores = [f"    _set_{name}(self, {name})" for name in fields]
     source = "\n".join(
         [
             f"def __init__({', '.join(params)}):",
-            *stores,
+            *(f"    _set_{name}(self, {name})" for name in fields),
             "    self.__post_init__()" if hasattr(cls, "__post_init__") else "",
-            "def __eq__(self, other):",
-            "    if other.__class__ is self.__class__:",
-            f"        return ({values}) == ({others})",
-            "    return NotImplemented",
-            "def __hash__(self):",
-            f"    return hash(({values}))",
-            "def __getstate__(self):",
-            f"    return ({values})",
-            "def __setstate__(self, state):",
-            f"    {''.join(f'{name}, ' for name in fields)}= state",
-            *stores,
         ]
     )
-    scope = {"_defaults": defaults, **{f"_set_{name}": setter for name, setter in setters.items()}}
+    scope = {"_defaults": defaults, **{f"_set_{name}": setter for name, setter in cls._set.items()}}
     exec(source, scope)
-    for name in ("__init__", "__eq__", "__hash__", "__getstate__", "__setstate__"):
-        method = scope[name]
-        method.__qualname__ = f"{cls.__qualname__}.{name}"
-        setattr(cls, name, method)
-    cls._set = setters
+    cls.__init__ = scope["__init__"]
+    cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
     return cls
+
+
+def _eq(self, other):
+    if other.__class__ is self.__class__:
+        return self._values(self) == self._values(other)
+    return NotImplemented
+
+
+def _hash(self):
+    return hash(self._values(self))
+
+
+def _getstate(self):
+    values = self._values(self)
+    return values if len(self._fields) > 1 else (values,)
+
+
+def _setstate(self, state):
+    for setter, value in zip(self._set.values(), state, strict=True):
+        setter(self, value)
 
 
 def _repr(self):

@@ -47,6 +47,8 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
+from marshal import dumps as marshal_dumps
 from typing import Mapping, Optional
 
 from ._record import record
@@ -184,8 +186,7 @@ class SingularPointData:
                 f"point {self.id}: field 'incident' must be a list, "
                 f"got {type(self.incident).__name__}"
             )
-        seen = set()
-        normalized = []
+        normalized = {}  # component id -> its shared (component id, branches)
         for entry in self.incident:
             if not isinstance(entry, (list, tuple)):
                 raise ValueError(
@@ -199,15 +200,22 @@ class SingularPointData:
             component_id, branches = entry
             if not is_integer(branches) or branches < 1:
                 raise ValueError(f"point {self.id}: branch count must be a positive integer")
-            if component_id in seen:
+            if component_id in normalized:
                 raise ValueError(f"point {self.id}: component {component_id!r} listed twice")
-            seen.add(component_id)
-            normalized.append((component_id, branches))
-        self._set["incident"](self, tuple(normalized))
+            normalized[component_id] = _incidence(component_id, branches)
+        self._set["incident"](self, tuple(normalized.values()))
         multiplicity = as_rational(self.multiplicity)
         if multiplicity.numerator < 0:
             raise ValueError(f"point {self.id}: multiplicity must be nonnegative")
         self._set["multiplicity"](self, multiplicity)
+
+
+@lru_cache(maxsize=4096, typed=True)
+def _incidence(component_id: str, branches: int) -> tuple:
+    """The one ``(component id, branches)`` tuple for a checked incidence, so
+    that points on the same component share it instead of each holding a
+    copy; typed, so a subclass of ``str`` or ``int`` keeps its own."""
+    return component_id, branches
 
 
 @record
@@ -220,13 +228,11 @@ class PairDescription:
     def __post_init__(self):
         components = tuple(self.components)
         points = tuple(self.points)
-        ids = [c.id for c in components]
-        if len(set(ids)) != len(ids):
+        known = {c.id for c in components}
+        if len(known) != len(components):
             raise ValueError("component ids must be unique")
-        point_ids = [p.id for p in points]
-        if len(set(point_ids)) != len(point_ids):
+        if len({p.id for p in points}) != len(points):
             raise ValueError("point ids must be unique")
-        known = set(ids)
         for component in components:
             for key in component.pairings or ():
                 if key != "K" and key not in known:
@@ -544,9 +550,12 @@ def pair_from_dict(doc) -> PairDescription:
         )
 
     # Each distinct local document is parsed once.  Local documents are keyed
-    # by their repr, which tells JSON values apart by type as well as value
-    # (1, True, "1" and 1.0 all differ), so two entries share a parse only
-    # when they are the same document.
+    # by their marshal bytes.  For the JSON types (dict, list, str, int, bool,
+    # float and None) marshal records the exact type of every value, so 1,
+    # True, "1" and 1.0 all differ, and two entries share a parse only when
+    # they are the same document.  marshal refuses most of what JSON cannot
+    # hold, such as a Fraction or a str subclass; such a document is parsed
+    # for its point alone.
     germs = {}
     points = []
     for entry in point_docs:
@@ -555,10 +564,15 @@ def pair_from_dict(doc) -> PairDescription:
         for key in ("id", "local", "incident", "m_P"):
             if key not in entry:
                 raise ValueError(f"point entry missing field {key!r}")
-        local_key = repr(entry["local"])
-        local = germs.get(local_key)
-        if local is None:
-            local = germs[local_key] = singularity_from_dict(entry["local"])
+        local_doc = entry["local"]
+        try:
+            local_key = marshal_dumps(local_doc)
+        except ValueError:
+            local = singularity_from_dict(local_doc)
+        else:
+            local = germs.get(local_key)
+            if local is None:
+                local = germs[local_key] = singularity_from_dict(local_doc)
         points.append(SingularPointData(entry["id"], local, entry["incident"], entry["m_P"]))
 
     return PairDescription(

@@ -80,14 +80,16 @@ def format_rational(x) -> str:
 
 def as_rational(value) -> Fraction:
     """Coerce an int, Fraction or rational literal; floats are refused."""
-    if isinstance(value, Fraction):
-        return value
+    # ``Fraction``'s metaclass is ``ABCMeta``, so ``isinstance(value,
+    # Fraction)`` is slow for any other value; literals and ints come first.
+    if isinstance(value, str):
+        return parse_rational(value)
     if isinstance(value, bool):
         raise InexactError("a boolean is not a rational value")
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, str):
-        return parse_rational(value)
+    if isinstance(value, Fraction):
+        return value
     raise InexactError(f"expected an exact rational, got {type(value).__name__}")
 
 

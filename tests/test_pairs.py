@@ -1,5 +1,6 @@
 import json
 import warnings
+from collections import defaultdict
 from fractions import Fraction as F
 from itertools import product
 from math import gcd
@@ -705,6 +706,9 @@ class TestCurveDegreeCap:
         assert str(caught.value) == message
 
 
+NOT_A_LIST = "each entry of field 'incident' must be a [component, branches] list,"
+
+
 class TestDocuments:
     def test_round_trip(self):
         for name, pair in lc_effective_corpus():
@@ -725,6 +729,73 @@ class TestDocuments:
         assert len({id(point.local) for point in pair.points}) == 2
         assert len({id(point.multiplicity) for point in pair.points}) == 2
         assert pair_to_dict(pair) == doc
+
+    def test_equal_incidences_are_one_object(self):
+        doc = json.loads(json.dumps(pair_to_dict(quadrilateral_pair())))
+        pair = pair_from_dict(doc)
+        entries = [entry for point in pair.points for entry in point.incident]
+        assert len({id(entry) for entry in entries}) == len(set(entries)) < len(entries)
+        assert all(type(entry) is tuple for entry in entries)
+        assert pair_to_dict(pair) == doc
+
+    @pytest.mark.parametrize("first, second", list(product([1, True, "1", 1.0], repeat=2)))
+    def test_germs_shared_only_by_equal_documents(self, first, second):
+        # Local documents that differ only in the JSON type of one value
+        # never share a germ, so each point is accepted or refused exactly
+        # as it is alone, in either order.
+        def local(d1):
+            return {"type": "cyclic", "n": 3, "q": 1, "d1": d1, "d2": "0"}
+
+        def build(*d1s):
+            return pair_from_dict({
+                "surface": {"mode": "plane"},
+                "components": [{"id": "C", "a": "1", "genus": 0, "degree": 3}],
+                "points": [
+                    {"id": f"P{i}", "local": local(d1), "incident": [["C", 1]], "m_P": "1"}
+                    for i, d1 in enumerate(d1s)
+                ],
+            })
+
+        def outcome(*d1s):
+            try:
+                return [point.local for point in build(*d1s).points]
+            except ValueError as error:
+                return f"{type(error).__name__}: {error}"
+
+        alone = [outcome(first), outcome(second)]
+        both = outcome(first, second)
+        refused = [result for result in alone if isinstance(result, str)]
+        if refused:
+            assert both == refused[0]
+        else:
+            assert both == alone[0] + alone[1]
+            pair = build(first, second)
+            shared = pair.points[0].local is pair.points[1].local
+            assert shared == (type(first) is type(second))
+
+    def test_documents_marshal_refuses_are_parsed_alone(self):
+        # A library caller may put values JSON cannot hold in a local
+        # document; such a document gets no cache key, so it is parsed for
+        # its point alone and never raises on the way.
+        class Ordered(dict):
+            pass
+
+        class Text(str):
+            pass
+
+        locals_ = [
+            {"type": "ordinary", "coeffs": [F(1, 2), F(1, 2)]},
+            Ordered(type="ordinary", coeffs=["1/2", "1/2"]),
+            {"type": "ordinary", "coeffs": [Text("1/2"), "1/2"]},
+            {"type": Text("ordinary"), "coeffs": ["1/2", "1/2"]},
+        ]
+        doc = json.loads(json.dumps(pair_to_dict(quadrilateral_pair(F(1, 2)))))
+        for point, local in zip(doc["points"], locals_ * 2):
+            point["local"] = local
+        pair = pair_from_dict(doc)
+        germs = [point.local for point in pair.points]
+        assert all(germ == Ordinary((F(1, 2), F(1, 2))) for germ in germs)
+        assert len({id(germ) for germ in germs}) == len(germs)
 
     def test_cuspidal_cubic_documents(self):
         pair = cuspidal_cubic_with_line_pair()
@@ -754,6 +825,18 @@ class TestDocuments:
             ((("C",),), "incidence ('C',) is not a (component, branches) pair"),
             (((["C"], 1),), "incidence (['C'], 1) is not a (component, branches) pair"),
             ((("C", 1), ("C", 2)), "component 'C' listed twice"),
+            (({"C": 1},), f"{NOT_A_LIST} got dict"),
+            ((["C", 1, 2],), "incidence ['C', 1, 2] is not a (component, branches) pair"),
+            ((("C", True),), "branch count must be a positive integer"),
+            ((("C", 0),), "branch count must be a positive integer"),
+            ((("C", "1"),), "branch count must be a positive integer"),
+            # The first bad entry decides, and within an entry its shape
+            # comes before its branch count, which comes before a repeat.
+            ((("C", 1), ("C", 1), {"D": 1}), "component 'C' listed twice"),
+            ((("C", 1), {"D": 1}, ("C", 1)), f"{NOT_A_LIST} got dict"),
+            ((("C", 1), ("C", True, 1)),
+             "incidence ('C', True, 1) is not a (component, branches) pair"),
+            ((("C", 1), ("C", False)), "branch count must be a positive integer"),
         ],
     )
     def test_incidences_checked_by_the_point(self, incident, message):
@@ -803,6 +886,25 @@ class TestDocuments:
         ],
     )
     def test_bad_documents(self, doc, message):
+        with pytest.raises(ValueError) as caught:
+            pair_from_dict(doc)
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ({"local": {}, "m_P": "0"}, "point entry missing field 'id'"),
+            ({"id": "P", "m_P": "0"}, "point entry missing field 'local'"),
+            ({"id": "P", "local": {}, "m_P": "0"}, "point entry missing field 'incident'"),
+            ({"id": "P", "local": {}, "incident": []}, "point entry missing field 'm_P'"),
+            # A dict subclass that makes up missing keys is refused the same way.
+            (defaultdict(int, id="P", local={}, incident=[]), "point entry missing field 'm_P'"),
+            (defaultdict(int, local={}, m_P="0"), "point entry missing field 'id'"),
+            (["P"], "point entry ['P'] is not an object"),
+        ],
+    )
+    def test_point_entry_fields(self, entry, message):
+        doc = {"surface": {"mode": "plane"}, "points": [entry]}
         with pytest.raises(ValueError) as caught:
             pair_from_dict(doc)
         assert str(caught.value) == message

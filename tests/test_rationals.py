@@ -19,6 +19,18 @@ from orbeuler import (
 )
 
 
+class Text(str):
+    pass
+
+
+class Whole(int):
+    pass
+
+
+class Ratio(F):
+    pass
+
+
 class TestParsing:
     def test_literals(self):
         assert parse_rational("2/3") == F(2, 3)
@@ -65,6 +77,51 @@ class TestParsing:
         with pytest.raises(InexactError) as caught:
             as_rational(bad)
         assert isinstance(caught.value, ValueError) and isinstance(caught.value, TypeError)
+
+    @pytest.mark.parametrize(
+        "value, expected",
+        [
+            ("3/4", F(3, 4)),
+            (" -2 ", F(-2)),
+            (7, F(7)),
+            (-7, F(-7)),
+            (F(5, 3), F(5, 3)),
+            (Text("3/4"), F(3, 4)),
+            (Whole(5), F(5)),
+            (Ratio(1, 2), Ratio(1, 2)),
+        ],
+        ids=["str", "str-spaces", "int", "negative-int", "Fraction", "str-subclass", "int-subclass",
+             "Fraction-subclass"],
+    )
+    def test_exact_values_and_subclasses(self, value, expected):
+        result = as_rational(value)
+        assert result == expected and type(result) is type(expected)
+        if isinstance(value, F):
+            assert result is value
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (True, "a boolean is not a rational value"),
+            (False, "a boolean is not a rational value"),
+            (0.5, "expected an exact rational, got float"),
+            (1.0, "expected an exact rational, got float"),
+            (None, "expected an exact rational, got NoneType"),
+            (b"1", "expected an exact rational, got bytes"),
+            ([1], "expected an exact rational, got list"),
+            (1j, "expected an exact rational, got complex"),
+        ],
+    )
+    def test_inexact_messages(self, bad, message):
+        with pytest.raises(InexactError) as caught:
+            as_rational(bad)
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize("bad", ["1.5", Text("1/0")])
+    def test_bad_literal_is_a_value_error(self, bad):
+        with pytest.raises(ValueError) as caught:
+            as_rational(bad)
+        assert not isinstance(caught.value, InexactError)
 
     def test_format_round_trip(self):
         for x in (F(2, 3), F(-7, 5), F(4), F(0)):

@@ -218,6 +218,72 @@ def test_pickle_round_trip(record):
         assert copy == value and repr(copy) == text
 
 
+def test_only_init_is_generated(record):
+    # Each class gets its own generated __init__; equality, hashing and
+    # pickling are one shared function each, reading the fields through the
+    # class's getter.
+    _, _, value = record
+    own = vars(type(value))
+    assert own["__init__"].__qualname__ == f"{type(value).__qualname__}.__init__"
+    for name, shared in (
+        ("__eq__", orbeuler._record._eq),
+        ("__hash__", orbeuler._record._hash),
+        ("__getstate__", orbeuler._record._getstate),
+        ("__setstate__", orbeuler._record._setstate),
+    ):
+        assert own[name] is shared, name
+
+
+def test_every_class_has_its_own_init():
+    classes = {type(make()) for make, _ in RECORDS.values()}
+    assert len({cls.__init__ for cls in classes}) == len(classes) == len(RECORDS)
+
+
+@pytest.mark.parametrize(
+    "make, other",
+    [
+        (lambda: Ordinary(("1/2", 0)), lambda: Ordinary(("1/2", 1))),
+        (lambda: CurveGerm.parse("x^2 + y^3"), lambda: CurveGerm.parse("x^2 + y^5")),
+    ],
+    ids=["Ordinary", "CurveGerm"],
+)
+def test_single_field_records(make, other):
+    # The getter of a one-field record returns the bare field, not a tuple.
+    value = make()
+    assert len(value._fields) == 1
+    assert make() == value and make() is not value and hash(make()) == hash(value)
+    assert other() != value and not other() == value
+    assert {value: 1}[make()] == 1
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        copy = pickle.loads(pickle.dumps(value, protocol))
+        assert type(copy) is type(value) and copy == value and hash(copy) == hash(value)
+        assert getattr(copy, value._fields[0]) == getattr(value, value._fields[0])
+
+
+@orbeuler._record.record
+class Box:
+    """A one-field record whose field may be falsy."""
+
+    content: object
+
+
+@pytest.mark.parametrize("content", [0, (), "", None, (0,), "x"])
+def test_a_falsy_single_field_pickles(content):
+    # pickle skips __setstate__ for a falsy state, so the state of a
+    # one-field record is a one-element tuple, never the bare field.
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        copy = pickle.loads(pickle.dumps(Box(content), protocol))
+        assert copy == Box(content) and copy.content == content
+
+
+def test_a_state_of_the_wrong_length_is_refused(record):
+    _, _, value = record
+    state = value.__getstate__()
+    for bad in (state[:-1], (*state, None)):
+        with pytest.raises(ValueError):
+            type(value).__new__(type(value)).__setstate__(bad)
+
+
 def test_bmy_report_fields_are_keyword_only():
     report = check_bmy(four_lines())
     base = (report.lhs, report.rhs, report.slack, report.verdict, report.equality, report.notes)
