@@ -27,23 +27,22 @@ def record(cls=None, *, kw_only=False):
     record base's default, and ``kw_only`` makes the class's own fields
     keyword-only.  The class is rebuilt with ``__slots__`` of its own fields,
     so the returned class is a new object.  As with
-    ``@dataclass(frozen=True)`` it gets a generated ``__init__`` that stores
-    the fields and then calls ``self.__post_init__()`` if the class has one;
-    ``__eq__`` and ``__hash__`` over the field values, equal only within one
-    class; the ``Cls(f=v, ...)`` ``__repr__``; ``__match_args__`` of the
-    positional fields; and ``__setattr__`` and ``__delattr__`` that raise
-    :class:`AttributeError`.  ``__post_init__`` replaces a normalised field
-    with ``self._set[name](self, value)``: ``_set`` maps each field to the
-    setter of its slot.  ``__getstate__`` and ``__setstate__`` pickle an
-    instance as the tuple of its field values.  All but ``__init__`` are the
-    same functions for every record; they read the fields with the class's
-    ``_values`` getter.
+    ``@dataclass(frozen=True)`` it gets ``__eq__`` and ``__hash__`` over the
+    field values, equal only within one class; the ``Cls(f=v, ...)``
+    ``__repr__``; ``__match_args__`` of the positional fields; and
+    ``__setattr__`` and ``__delattr__`` that raise :class:`AttributeError`.
+    Its generated ``__init__`` stores each field once, and only unpickling
+    writes the slots otherwise.  A class that checks its fields defines
+    ``_check``, a plain function of the fields in order that raises on a bad
+    value and returns the tuple of values to store: the decorator takes it
+    out of the class, and ``__init__`` calls it first.
     """
     if cls is None:
         return lambda cls: record(cls, kw_only=kw_only)
     namespace = dict(cls.__dict__)
     namespace.pop("__dict__", None)
     namespace.pop("__weakref__", None)
+    check = namespace.pop("_check", None)
     own = tuple(namespace.get("__annotations__", ()))
     fields = getattr(cls, "_fields", ()) + own
     positional = getattr(cls, "__match_args__", ()) + (() if kw_only else own)
@@ -70,7 +69,6 @@ def record(cls=None, *, kw_only=False):
         __delattr__=_refuse_deletion,
     )
     cls = type(cls)(cls.__name__, cls.__bases__, namespace)
-    cls._set = {name: getattr(cls, name).__set__ for name in fields}
 
     def param(name):
         return f"{name}=_defaults[{name!r}]" if name in defaults else name
@@ -79,11 +77,12 @@ def record(cls=None, *, kw_only=False):
     source = "\n".join(
         [
             f"def __init__({', '.join(params)}):",
+            f"    {', '.join(fields)}, = _check({', '.join(fields)})" if check else "",
             *(f"    _set_{name}(self, {name})" for name in fields),
-            "    self.__post_init__()" if hasattr(cls, "__post_init__") else "",
         ]
     )
-    scope = {"_defaults": defaults, **{f"_set_{name}": setter for name, setter in cls._set.items()}}
+    scope = {"_defaults": defaults, "_check": check}
+    scope.update((f"_set_{name}", getattr(cls, name).__set__) for name in fields)
     exec(source, scope)
     cls.__init__ = scope["__init__"]
     cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
@@ -106,8 +105,8 @@ def _getstate(self):
 
 
 def _setstate(self, state):
-    for setter, value in zip(self._set.values(), state, strict=True):
-        setter(self, value)
+    for name, value in zip(self._fields, state, strict=True):
+        object.__setattr__(self, name, value)
 
 
 def _repr(self):

@@ -60,12 +60,12 @@ class ArrangementData:
     k: int
     t: tuple
 
-    def __post_init__(self):
-        if not is_integer(self.k) or self.k < 1:
-            raise InvalidArrangementError(f"k must be a positive integer, got {self.k!r}")
+    def _check(k, t):
+        if not is_integer(k) or k < 1:
+            raise InvalidArrangementError(f"k must be a positive integer, got {k!r}")
         normalized = []
         seen = set()
-        for entry in self.t:
+        for entry in t:
             try:
                 r, count = entry
             except (TypeError, ValueError):
@@ -83,12 +83,12 @@ class ArrangementData:
                 normalized.append((r, count))
         normalized.sort()
         pair_count = sum(count * r * (r - 1) for r, count in normalized)
-        if pair_count != self.k * (self.k - 1):
+        if pair_count != k * (k - 1):
             raise InvalidArrangementError(
                 f"pair-count identity fails: sum t_r r(r-1) = {pair_count} "
-                f"but k(k-1) = {self.k * (self.k - 1)}"
+                f"but k(k-1) = {k * (k - 1)}"
             )
-        self._set["t"](self, tuple(normalized))
+        return k, tuple(normalized)
 
     @classmethod
     def from_counts(cls, k: int, t: Mapping) -> "ArrangementData":

@@ -218,13 +218,14 @@ def _cmd_global(args):
     multiplicities = bmy.multiplicities
     global_value = bmy.global_value
     notes = list(bmy.notes)
+    kd_sq = _rat(bmy.rhs)
     values = {
         "e_orb": _rat(global_value.value),
         "kind": global_value.exactness.value,
         "lc": "lc" if global_value.lc else "non-lc",
-        "kd_sq": _rat(bmy.rhs),
+        "kd_sq": kd_sq,
         "bmy_lhs": _rat(bmy.lhs),
-        "bmy_rhs": _rat(bmy.rhs),
+        "bmy_rhs": kd_sq,
         "bmy_slack": _rat(bmy.slack),
         "bmy_verdict": bmy.verdict.value,
         "bmy_equality": bmy.equality,
@@ -235,13 +236,13 @@ def _cmd_global(args):
         "notes": notes,
     }
     lines = [
-        f"e_orb={_rat(global_value.value)} (~{_decimal(global_value.value)}) "
-        f"kind={global_value.exactness.value} lc={values['lc']}",
-        f"(K+D)^2={_rat(bmy.rhs)}",
-        f"bmy: lhs={_rat(bmy.lhs)} rhs={_rat(bmy.rhs)} verdict={bmy.verdict.value}"
+        f"e_orb={values['e_orb']} (~{_decimal(global_value.value)}) "
+        f"kind={values['kind']} lc={values['lc']}",
+        f"(K+D)^2={kd_sq}",
+        f"bmy: lhs={values['bmy_lhs']} rhs={kd_sq} verdict={values['bmy_verdict']}"
         + (" equality" if bmy.equality else ""),
-        f"multiplicities: lhs={_rat(multiplicities.lhs)} rhs={_rat(multiplicities.rhs)} "
-        f"verdict={multiplicities.verdict.value}",
+        f"multiplicities: lhs={values['mult_lhs']} rhs={values['mult_rhs']} "
+        f"verdict={values['mult_verdict']}",
     ]
     lines.extend(f"note: {note}" for note in notes)
     tags = ["global-euler-assembly", "bmy-inequality", "multiplicity-refinement"]

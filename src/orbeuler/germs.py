@@ -87,9 +87,9 @@ class CurveGerm:
 
     terms: tuple
 
-    def __post_init__(self):
+    def _check(terms):
         combined: dict[tuple[int, int], Fraction] = {}
-        for entry in self.terms:
+        for entry in terms:
             try:
                 i, j, c = entry
             except (TypeError, ValueError):
@@ -106,7 +106,7 @@ class CurveGerm:
             raise ValueError("germ is identically zero")
         if (0, 0) in combined:
             raise ValueError("germ must vanish at the origin (no constant term)")
-        self._set["terms"](self, tuple(sorted((i, j, c) for (i, j), c in combined.items())))
+        return (tuple(sorted((i, j, c) for (i, j), c in combined.items())),)
 
     @classmethod
     def parse(cls, text: str) -> "CurveGerm":

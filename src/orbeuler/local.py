@@ -101,17 +101,16 @@ class EulerValue:
     exactness: Exactness
     lc: bool
 
-    def __post_init__(self):
-        value = self.value
+    def _check(value, exactness, lc):
         if value.__class__ is not Fraction:
             value = as_rational(value)
-            self._set["value"](self, value)
-        if not isinstance(self.exactness, Exactness):
+        if not isinstance(exactness, Exactness):
             raise TypeError("exactness must be an Exactness member")
-        if not self.lc and value.numerator != 0:
+        if not lc and value.numerator != 0:
             raise ValueError("a non log canonical germ must report value 0")
-        if self.lc and value.numerator > value.denominator:
+        if lc and value.numerator > value.denominator:
             raise ValueError("a log canonical local value never exceeds 1")
+        return value, exactness, lc
 
     @property
     def is_exact(self) -> bool:
@@ -157,11 +156,11 @@ class Ordinary:
 
     coeffs: tuple
 
-    def __post_init__(self):
-        vals = tuple(map(_weight, self.coeffs))
-        if not vals:
+    def _check(coeffs):
+        coeffs = tuple(map(_weight, coeffs))
+        if not coeffs:
             raise ValueError("an ordinary point needs at least one branch")
-        self._set["coeffs"](self, vals)
+        return (coeffs,)
 
 
 @record
@@ -172,11 +171,8 @@ class CyclicQuotient:
     d1: Fraction
     d2: Fraction
 
-    def __post_init__(self):
-        store = self._set
-        store["chain"](self, _as_chain(self.chain))
-        store["d1"](self, _weight(self.d1))
-        store["d2"](self, _weight(self.d2))
+    def _check(chain, d1, d2):
+        return _as_chain(chain), _weight(d1), _weight(d2)
 
 
 @record
@@ -186,10 +182,8 @@ class StarArm:
     chain: Chain
     d: Fraction
 
-    def __post_init__(self):
-        store = self._set
-        store["chain"](self, _as_chain(self.chain))
-        store["d"](self, _weight(self.d))
+    def _check(chain, d):
+        return _as_chain(chain), _weight(d)
 
     @property
     def n(self) -> int:
@@ -207,13 +201,13 @@ class StarQuotient:
     b: int
     arms: tuple
 
-    def __post_init__(self):
-        if not is_integer(self.b) or self.b < 1:
-            raise ValueError(f"central weight b must be a positive integer, got {self.b!r}")
-        arms = tuple(arm if isinstance(arm, StarArm) else _star_arm(arm) for arm in self.arms)
+    def _check(b, arms):
+        if not is_integer(b) or b < 1:
+            raise ValueError(f"central weight b must be a positive integer, got {b!r}")
+        arms = tuple(arm if isinstance(arm, StarArm) else _star_arm(arm) for arm in arms)
         if len(arms) != 3:
             raise ValueError(f"a star has exactly 3 arms, got {len(arms)}")
-        self._set["arms"](self, arms)
+        return b, arms
 
 
 def _star_arm(entry) -> StarArm:
@@ -231,12 +225,13 @@ class ReducedGerm:
     mu: int
     tau: int
 
-    def __post_init__(self):
-        for name, value in (("mu", self.mu), ("tau", self.tau)):
+    def _check(mu, tau):
+        for name, value in (("mu", mu), ("tau", tau)):
             if not is_integer(value) or value < 0:
                 raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
-        if self.mu < self.tau:
-            raise ValueError(f"mu >= tau required, got mu={self.mu}, tau={self.tau}")
+        if mu < tau:
+            raise ValueError(f"mu >= tau required, got mu={mu}, tau={tau}")
+        return mu, tau
 
 
 LocalSingularity = Union[Ordinary, CyclicQuotient, StarQuotient, ReducedGerm]

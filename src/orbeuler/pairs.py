@@ -100,12 +100,13 @@ class SurfaceData:
     c1_sq: int
     plane: bool = False
 
-    def __post_init__(self):
-        for name, value in (("e_top", self.e_top), ("c1_sq", self.c1_sq)):
+    def _check(e_top, c1_sq, plane):
+        for name, value in (("e_top", e_top), ("c1_sq", c1_sq)):
             if not is_integer(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.plane and (self.e_top, self.c1_sq) != (3, 9):
+        if plane and (e_top, c1_sq) != (3, 9):
             raise ValueError("plane mode fixes e_top = 3 and c1_sq = 9")
+        return e_top, c1_sq, plane
 
     @classmethod
     def projective_plane(cls) -> "SurfaceData":
@@ -132,34 +133,33 @@ class ComponentData:
     degree: Optional[int] = None
     pairings: Optional[Mapping[str, int]] = None
 
-    def __post_init__(self):
-        if not isinstance(self.id, str) or not self.id:
-            raise ValueError(f"component id must be a nonempty string, got {self.id!r}")
-        coeff = as_rational(self.coeff)
+    def _check(id, coeff, genus, degree, pairings):
+        if not isinstance(id, str) or not id:
+            raise ValueError(f"component id must be a nonempty string, got {id!r}")
+        coeff = as_rational(coeff)
         if not 0 <= coeff.numerator <= coeff.denominator:
             raise ValueError(
-                f"component {self.id}: weight {format_rational(coeff)} outside [0, 1]"
+                f"component {id}: weight {format_rational(coeff)} outside [0, 1]"
             )
-        self._set["coeff"](self, coeff)
-        if not is_integer(self.genus) or self.genus < 0:
-            raise ValueError(f"component {self.id}: genus must be a nonnegative integer")
-        if self.degree is not None:
-            if not is_integer(self.degree) or self.degree < 1:
-                raise ValueError(f"component {self.id}: degree must be a positive integer")
-        if self.pairings is not None:
-            if not isinstance(self.pairings, Mapping):
-                raise ValueError(f"component {self.id}: pairings must be an object")
-            pairings = dict(self.pairings)
+        if not is_integer(genus) or genus < 0:
+            raise ValueError(f"component {id}: genus must be a nonnegative integer")
+        if degree is not None:
+            if not is_integer(degree) or degree < 1:
+                raise ValueError(f"component {id}: degree must be a positive integer")
+        if pairings is not None:
+            if not isinstance(pairings, Mapping):
+                raise ValueError(f"component {id}: pairings must be an object")
+            pairings = dict(pairings)
             for key, value in pairings.items():
                 if not isinstance(key, str) or not key:
                     raise ValueError(
-                        f"component {self.id}: pairing key {key!r} is not a nonempty string"
+                        f"component {id}: pairing key {key!r} is not a nonempty string"
                     )
                 if not is_integer(value):
                     raise ValueError(
-                        f"component {self.id}: pairing {key!r} must be an integer, got {value!r}"
+                        f"component {id}: pairing {key!r} must be an integer, got {value!r}"
                     )
-            self._set["pairings"](self, pairings)
+        return id, coeff, genus, degree, pairings
 
 
 @record
@@ -178,36 +178,35 @@ class SingularPointData:
     incident: tuple
     multiplicity: Fraction
 
-    def __post_init__(self):
-        if not isinstance(self.id, str) or not self.id:
-            raise ValueError(f"point id must be a nonempty string, got {self.id!r}")
-        if not isinstance(self.incident, (list, tuple)):
+    def _check(id, local, incident, multiplicity):
+        if not isinstance(id, str) or not id:
+            raise ValueError(f"point id must be a nonempty string, got {id!r}")
+        if not isinstance(incident, (list, tuple)):
             raise ValueError(
-                f"point {self.id}: field 'incident' must be a list, "
-                f"got {type(self.incident).__name__}"
+                f"point {id}: field 'incident' must be a list, "
+                f"got {type(incident).__name__}"
             )
         normalized = {}  # component id -> its shared (component id, branches)
-        for entry in self.incident:
+        for entry in incident:
             if not isinstance(entry, (list, tuple)):
                 raise ValueError(
-                    f"point {self.id}: each entry of field 'incident' must be a "
+                    f"point {id}: each entry of field 'incident' must be a "
                     f"[component, branches] list, got {type(entry).__name__}"
                 )
             if len(entry) != 2 or not isinstance(entry[0], str):
                 raise ValueError(
-                    f"point {self.id}: incidence {entry!r} is not a (component, branches) pair"
+                    f"point {id}: incidence {entry!r} is not a (component, branches) pair"
                 )
             component_id, branches = entry
             if not is_integer(branches) or branches < 1:
-                raise ValueError(f"point {self.id}: branch count must be a positive integer")
+                raise ValueError(f"point {id}: branch count must be a positive integer")
             if component_id in normalized:
-                raise ValueError(f"point {self.id}: component {component_id!r} listed twice")
+                raise ValueError(f"point {id}: component {component_id!r} listed twice")
             normalized[component_id] = _incidence(component_id, branches)
-        self._set["incident"](self, tuple(normalized.values()))
-        multiplicity = as_rational(self.multiplicity)
+        multiplicity = as_rational(multiplicity)
         if multiplicity.numerator < 0:
-            raise ValueError(f"point {self.id}: multiplicity must be nonnegative")
-        self._set["multiplicity"](self, multiplicity)
+            raise ValueError(f"point {id}: multiplicity must be nonnegative")
+        return id, local, tuple(normalized.values()), multiplicity
 
 
 @lru_cache(maxsize=4096, typed=True)
@@ -225,9 +224,9 @@ class PairDescription:
     points: tuple
     effective: Optional[bool] = None
 
-    def __post_init__(self):
-        components = tuple(self.components)
-        points = tuple(self.points)
+    def _check(surface, components, points, effective):
+        components = tuple(components)
+        points = tuple(points)
         known = {c.id for c in components}
         if len(known) != len(components):
             raise ValueError("component ids must be unique")
@@ -246,21 +245,21 @@ class PairDescription:
                     raise ValueError(
                         f"point {point.id}: unknown component {component_id!r}"
                     )
-        if self.surface.plane:
+        if surface.plane:
             for component in components:
                 if component.degree is None:
                     raise ValueError(f"component {component.id}: plane mode needs a degree")
         elif "K" in known:
             raise ValueError("component id 'K' is reserved in generic mode for K.D_i")
-        if self.effective is not None and not isinstance(self.effective, bool):
-            raise ValueError(f"effective must be true, false or absent, got {self.effective!r}")
+        if effective is not None and not isinstance(effective, bool):
+            raise ValueError(f"effective must be true, false or absent, got {effective!r}")
         for point in points:
             if not point.incident and (point.multiplicity or any(_boundary_weights(point.local))):
                 raise ValueError(
                     f"point {point.id} lies on no component, so its germ must carry no "
                     "boundary weight and its m_P must be 0"
                 )
-        if not self.surface.plane:
+        if not surface.plane:
             for component in components:
                 if "K" not in (component.pairings or ()):
                     raise ValueError(f"component {component.id}: missing pairing entry 'K'")
@@ -275,8 +274,7 @@ class PairDescription:
                         raise ValueError(
                             f"asymmetric pairing between {left.id} and {right.id}: {ours} vs {theirs}"
                         )
-        self._set["components"](self, components)
-        self._set["points"](self, points)
+        return surface, components, points, effective
 
 
 @record
@@ -396,11 +394,10 @@ def pair_kd_squared(pair: PairDescription) -> Fraction:
     """(K_X + D)^2 by bilinear expansion of the supplied pairings, each
     D_i.D_j read from whichever of the two components carries it.
 
-    Plane mode shortcuts to (sum a_i deg D_i - 3)^2.
+    Plane mode shortcuts to the square of the degree of K_X + D.
     """
     if pair.surface.plane:
-        degree = sum((c.coeff * c.degree for c in pair.components), Fraction(0))
-        return (degree - 3) ** 2
+        return _adjoint_degree(pair) ** 2
     total = Fraction(pair.surface.c1_sq)
     for component in pair.components:
         total += 2 * component.coeff * component.pairings["K"]
@@ -409,6 +406,11 @@ def pair_kd_squared(pair: PairDescription) -> Fraction:
             value = left.pairings.get(right.id, right.pairings.get(left.id))
             total += left.coeff * right.coeff * value
     return total
+
+
+def _adjoint_degree(pair: PairDescription) -> Fraction:
+    """Degree of K_X + D on the plane: sum a_i deg D_i - 3."""
+    return sum((c.coeff * c.degree for c in pair.components), Fraction(0)) - 3
 
 
 def check_bmy(pair: PairDescription) -> BmyReport:
@@ -436,10 +438,10 @@ def check_bmy(pair: PairDescription) -> BmyReport:
     if not global_value.lc:
         notes.append("the pair is not log canonical at some supplied point")
     if pair.surface.plane:
-        degree = sum((c.coeff * c.degree for c in pair.components), Fraction(0))
-        if degree < 3:
+        degree = _adjoint_degree(pair)
+        if degree < 0:
             notes.append(
-                f"K+D has total degree {format_rational(degree - 3)} < 0 on the plane: "
+                f"K+D has total degree {format_rational(degree)} < 0 on the plane: "
                 "no multiple is effective"
             )
     elif not pair.effective:

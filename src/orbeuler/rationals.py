@@ -116,13 +116,14 @@ class Chain:
     n: int
     q: int
 
-    def __post_init__(self):
-        if not is_integer(self.n) or not is_integer(self.q):
-            raise ChainError(f"chain entries must be integers, got ({self.n!r}, {self.q!r})")
-        if self.n < 1 or not 0 <= self.q < self.n:
-            raise ChainError(f"need 0 <= q < n, got ({self.n}, {self.q})")
-        if gcd(self.n, self.q) != 1:
-            raise ChainError(f"({self.n}, {self.q}) is not coprime")
+    def _check(n, q):
+        if not is_integer(n) or not is_integer(q):
+            raise ChainError(f"chain entries must be integers, got ({n!r}, {q!r})")
+        if n < 1 or not 0 <= q < n:
+            raise ChainError(f"need 0 <= q < n, got ({n}, {q})")
+        if gcd(n, q) != 1:
+            raise ChainError(f"({n}, {q}) is not coprime")
+        return n, q
 
     @property
     def is_empty(self) -> bool:

@@ -232,6 +232,9 @@ def test_only_init_is_generated(record):
         ("__setstate__", orbeuler._record._setstate),
     ):
         assert own[name] is shared, name
+    # Only __init__ and unpickling write the slots: the class keeps no
+    # setters and no _check of its own.
+    assert not hasattr(type(value), "_set") and not hasattr(type(value), "_check")
 
 
 def test_every_class_has_its_own_init():
@@ -303,8 +306,43 @@ def test_a_nested_record_keeps_its_qualname():
     assert repr(Point(1)) == f"{Point.__qualname__}(x=1, y=0)"
 
 
-def test_post_init_runs_through_the_instance(monkeypatch):
+def _checked_span(calls):
+    @orbeuler._record.record
+    class Span:
+        lo: int
+        hi: int = 10
+
+        def _check(lo, hi):
+            calls.append((lo, hi))
+            if lo > hi:
+                raise ValueError(f"empty span {lo}..{hi}")
+            return str(lo), (hi,)
+
+    return Span
+
+
+def test_init_stores_what_check_returns():
     calls = []
-    monkeypatch.setattr(ReducedGerm, "__post_init__", lambda germ: calls.append(germ))
-    germ = ReducedGerm(1, 5)  # mu < tau, refused by the real __post_init__
-    assert calls == [germ]
+    Span = _checked_span(calls)
+    span = Span(1, hi=2)
+    assert calls == [(1, 2)]
+    assert (span.lo, span.hi) == ("1", (2,))
+    assert not hasattr(Span, "_check")
+    # Unpickling restores the stored values without checking them again.
+    restored = Span.__new__(Span)
+    restored.__setstate__(span.__getstate__())
+    assert restored == span
+    assert calls == [(1, 2)]
+
+
+def test_defaults_reach_check():
+    calls = []
+    assert _checked_span(calls)(3).hi == (10,)
+    assert calls == [(3, 10)]
+
+
+def test_an_error_in_check_is_raised_by_the_constructor():
+    calls = []
+    with pytest.raises(ValueError, match=r"^empty span 5\.\.2$"):
+        _checked_span(calls)(5, 2)
+    assert calls == [(5, 2)]
