@@ -1,17 +1,16 @@
 """Tour of the local calculus: chains, ordinary points, quotient stars.
 
+Every value comes from ``euler_local``, the one local evaluator.
+
 Run with:  python demos/local_singularities.py
 """
 
-from fractions import Fraction as F
-
 from orbeuler import (
-    cover_degree,
+    CyclicQuotient,
+    Ordinary,
+    StarQuotient,
     cusp_star,
-    euler_cyclic,
-    euler_ordinary,
-    euler_ordinary3_cover_oracle,
-    euler_star,
+    euler_local,
     hj_expand,
     validate_star,
 )
@@ -22,20 +21,12 @@ for n, q in ((5, 2), (5, 4), (12, 5), (1, 0)):
 
 print("\n== Ordinary points ==")
 for coeffs in (["1/2", "1/2", "1/2"], ["1/6", "1/3", "1/2"], ["1/3"] * 4, ["1", "1", "1"]):
-    value = euler_ordinary(coeffs)
+    value = euler_local(Ordinary(coeffs))
     print(f"  weights {coeffs}: value {value.value} ({value.exactness.value}, {value.lc_label()})")
-
-print("\n  the three-branch values are re-derivable through the cyclic cover:")
-for n, ls in ((2, (1, 1, 1)), (6, (5, 4, 3))):
-    weights = [1 - F(l, n) for l in ls]
-    print(
-        f"  n={n}, l={ls}: closed form {euler_ordinary(weights).value}"
-        f" == cover oracle {euler_ordinary3_cover_oracle(n, *ls)}"
-    )
 
 print("\n== Cyclic quotients:  (1-d1)(1-d2)/n ==")
 for n, q, d1, d2 in ((3, 1, "0", "0"), (4, 3, "1/2", "0"), (1, 0, "1/2", "1/3")):
-    print(f"  <{n},{q}> with d=({d1},{d2}): {euler_cyclic((n, q), d1, d2).value}")
+    print(f"  <{n},{q}> with d=({d1},{d2}): {euler_local(CyclicQuotient((n, q), d1, d2)).value}")
 
 print("\n== Star-shaped quotients: the ADE family at zero boundary ==")
 ade = {
@@ -46,15 +37,10 @@ ade = {
 }
 for name, (b, arms) in ade.items():
     validation = validate_star(b, arms)
-    record = cover_degree(validation.invariants.b0, *validation.triple)
-    value = euler_star(b, arms)
-    print(
-        f"  {name}: triple {validation.triple}, group order {record.degree},"
-        f" value {value.value} = 1/{record.degree}"
-    )
+    value = euler_local(StarQuotient(b, arms))
+    print(f"  {name}: triple {validation.triple}, b0 {validation.invariants.b0}, value {value.value}")
 
 print("\n== The ordinary cusp x^2 = y^3, weight alpha ==")
 for alpha in ("0", "1/12", "1/6", "1/2", "5/6", "1"):
-    star = cusp_star(alpha)
-    value = euler_star(star.b, star.arms)
+    value = euler_local(cusp_star(alpha))
     print(f"  alpha={alpha:>4}: {value.value}  ({value.lc_label()})")

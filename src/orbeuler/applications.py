@@ -22,9 +22,9 @@ be good, because each probed alpha yields a theorem-backed bound on its own.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 from math import isqrt
-from typing import Mapping
 
 from ._record import record
 from .rationals import Chain, as_rational, format_rational, is_integer, rat_ceil, rat_floor

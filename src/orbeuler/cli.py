@@ -63,12 +63,16 @@ def _decimal(x) -> str:
 
 def _load_document(source: str):
     s = source.strip()
-    if s == "-":
-        return json.load(sys.stdin)
-    if s.startswith("{") or s.startswith("["):
-        return json.loads(s)
-    with open(source, encoding="utf-8") as handle:
-        return json.load(handle)
+    try:
+        if s == "-":
+            return json.load(sys.stdin)
+        if s.startswith("{") or s.startswith("["):
+            return json.loads(s)
+        with open(source, encoding="utf-8") as handle:
+            return json.load(handle)
+    except RecursionError:
+        # json decodes nested arrays and objects recursively.
+        raise ValueError("document nested too deeply") from None
 
 
 def _parallel_map(function, items, jobs: int):

@@ -44,9 +44,9 @@ comparison theorem.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping, Sequence
 
 from ._record import record
 from .rationals import as_rational, format_rational, is_integer, parse_rational
@@ -56,10 +56,7 @@ __all__ = [
     "NotIsolatedError",
     "CurveGerm",
     "GermInvariants",
-    "milnor_number",
-    "tjurina_number",
     "germ_invariants",
-    "euler_reduced_germ",
     "log_chern_c2",
     "euler_top_complement",
     "lct_obstruction",
@@ -273,21 +270,12 @@ def _first_truncation(poly: Mapping, cap: int) -> int:
     return min(cap, intercept(0) + intercept(1))
 
 
-def milnor_number(f, cap: int = DEFAULT_CAP) -> int:
-    """dim of the Jacobian algebra O/(f_x, f_y) at the origin."""
-    return germ_invariants(f, cap).mu
-
-
-def tjurina_number(f, cap: int = DEFAULT_CAP) -> int:
-    """dim of O/(f, f_x, f_y) at the origin.
-
-    It needs the cap that mu needs, since tau is read off mu's elimination.
-    """
-    return germ_invariants(f, cap).tau
-
-
 def germ_invariants(f, cap: int = DEFAULT_CAP) -> GermInvariants:
-    """Both numbers plus the truncation at which they stabilised."""
+    """mu, tau and the truncation at which they stabilised.
+
+    tau is read off mu's elimination, so it needs the cap that mu needs.
+    mu - tau is the local value of the weight-1 pair.
+    """
     germ = _as_germ(f)
     if not is_integer(cap) or cap < 1:
         raise ValueError(f"cap must be a positive integer, got {cap!r}")
@@ -315,12 +303,6 @@ def germ_invariants(f, cap: int = DEFAULT_CAP) -> GermInvariants:
     if mu < tau:
         raise AssertionError(f"mu = {mu} < tau = {tau}: elimination bug")
     return GermInvariants(mu, tau, max(used_mu, used_tau))
-
-
-def euler_reduced_germ(f, cap: int = DEFAULT_CAP) -> int:
-    """mu - tau >= 0, the local value of the weight-1 pair."""
-    invariants = germ_invariants(f, cap)
-    return invariants.mu - invariants.tau
 
 
 def log_chern_c2(c2_surface: int, kd_dot_d: int, taus: Iterable[int]) -> int:

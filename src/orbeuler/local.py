@@ -30,13 +30,13 @@ modelled here:
     A reduced plane curve germ taken with weight 1, summarised by its Milnor
     and Tjurina numbers; the value is ``mu - tau``.
 
-Values are exact rationals.  Evaluation runs on integers: each class puts
-its weights over one common denominator, decides every branch by integer
-comparisons and builds exactly one ``Fraction`` per value.  Evaluators
-return :class:`EulerValue`, which couples the number with its exactness kind
-and a log-canonicity flag; that flag is the only lc verdict in the library,
-and callers must propagate the ``UPPER_BOUND`` kind.  Non log canonical germs
-report the exact value 0.
+Values are exact rationals.  :func:`euler_local` is the one evaluator, with
+a branch per class.  It runs on integers: each class puts its weights over
+one common denominator, decides every branch by integer comparisons and
+builds exactly one ``Fraction`` per value.  It returns :class:`EulerValue`,
+which couples the number with its exactness kind and a log-canonicity flag;
+that flag is the only lc verdict in the library, and callers must propagate
+the ``UPPER_BOUND`` kind.  Non log canonical germs report the exact value 0.
 Everything here is immutable and pure, so unrestricted concurrent use is
 safe.
 """
@@ -47,7 +47,6 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import Union
 
 from ._record import record
 from .rationals import Chain, ChainError, as_rational, format_rational, is_integer, parse_rational
@@ -61,16 +60,9 @@ __all__ = [
     "StarArm",
     "StarQuotient",
     "ReducedGerm",
-    "LocalSingularity",
     "StarInvariants",
     "StarValidation",
-    "CoverDegree",
-    "euler_ordinary",
-    "euler_cyclic",
     "validate_star",
-    "euler_star",
-    "cover_degree",
-    "euler_ordinary3_cover_oracle",
     "euler_local",
     "singularity_from_dict",
     "singularity_to_dict",
@@ -234,9 +226,6 @@ class ReducedGerm:
         return mu, tau
 
 
-LocalSingularity = Union[Ordinary, CyclicQuotient, StarQuotient, ReducedGerm]
-
-
 @record
 class StarInvariants:
     """b0 = b - sum q_i/n_i, alpha = sum (1-d_i)/n_i, beta = min (1-d_i)/n_i."""
@@ -251,50 +240,6 @@ class StarValidation:
     invariants: StarInvariants
     triple: tuple[int, int, int]
     multipliers: tuple[int, int, int]
-
-
-@record
-class CoverDegree:
-    """Order bookkeeping for the smooth cover of a polyhedral quotient.
-
-    ``half_order`` is the s with 1 + 1/s = 1/p1 + 1/p2 + 1/p3 (half the order
-    of the projectivized group); the covering degree is ``4 s^2 b0``.
-    """
-
-    half_order: Fraction
-    degree: Fraction
-    triple: tuple[int, int, int]
-
-
-def euler_ordinary(coeffs) -> EulerValue:
-    """Value of an ordinary point with the given branch weights.
-
-    A single branch folds to ``1 - a``, the count of a smooth boundary point.
-    """
-    point = coeffs if isinstance(coeffs, Ordinary) else Ordinary(tuple(coeffs))
-    # A weight-0 branch does not change the underlying divisor; dropping such
-    # branches keeps both the value and the exactness kind stable under
-    # padding with zeros.
-    ratios = [ratio for ratio in map(Fraction.as_integer_ratio, point.coeffs) if ratio[0]]
-    if not ratios:
-        return EulerValue(_ONE, Exactness.EXACT, True)
-    # Over den = lcm of the denominators, a = total/den and a_n = top/den.
-    den = lcm(*(q for _, q in ratios))
-    scaled = [p * (den // q) for p, q in ratios]
-    total = sum(scaled)
-    top = max(scaled)
-    if total > 2 * den:
-        return EulerValue(_ZERO, Exactness.EXACT, False)
-    if 2 * top >= total:
-        return EulerValue(Fraction((den - total + top) * (den - top), den * den), Exactness.EXACT, True)
-    # (a - 2)^2 / 4, exact for at most three branches and an upper bound beyond.
-    kind = Exactness.EXACT if len(ratios) <= 3 else Exactness.UPPER_BOUND
-    return EulerValue(Fraction((2 * den - total) ** 2, 4 * den * den), kind, True)
-
-
-def euler_cyclic(chain, d1, d2) -> EulerValue:
-    """Value ``(1 - d1)(1 - d2)/n`` of a cyclic quotient; independent of q."""
-    return euler_local(CyclicQuotient(chain, d1, d2))
 
 
 _EXCEPTIONAL_TRIPLES = ((2, 3, 3), (2, 3, 4), (2, 3, 5))
@@ -373,55 +318,33 @@ def _polyhedral_assignment(ns: tuple) -> tuple:
     raise NotQuotientError(f"no polyhedral assignment for arm orders {ns}")
 
 
-def euler_star(b, arms) -> EulerValue:
-    """Value of a star-shaped quotient point; see the module docstring."""
-    return euler_local(StarQuotient(b, tuple(arms)))
+def euler_local(s: Ordinary | CyclicQuotient | StarQuotient | ReducedGerm) -> EulerValue:
+    """The local value of a built germ, by its class: the one evaluator.
 
-
-def cover_degree(b0, p1: int, p2: int, p3: int) -> CoverDegree:
-    """Degree 4 s^2 b0 of the smooth cover for a spherical triple (p1,p2,p3)."""
-    b0 = as_rational(b0)
-    if b0 <= 0:
-        raise ValueError(f"b0 must be positive, got {format_rational(b0)}")
-    for p in (p1, p2, p3):
-        if not is_integer(p) or p < 1:
-            raise ValueError(f"triple entries must be positive integers, got {p!r}")
-    excess = Fraction(1, p1) + Fraction(1, p2) + Fraction(1, p3) - 1
-    if excess <= 0:
-        raise ValueError(f"({p1}, {p2}, {p3}) is not a spherical triple")
-    s = 1 / excess
-    return CoverDegree(s, 4 * s * s * b0, (p1, p2, p3))
-
-
-def euler_ordinary3_cover_oracle(n: int, l1: int, l2: int, l3: int) -> Fraction:
-    """Recompute the three-branch value through the cyclic cover.
-
-    For weights a_i = 1 - l_i/n, pulling the logarithmic forms back along the
-    degree-n cover branched over the three lines yields a rank-2 bundle of
-    degree e = n - l1 - l2 - l3 on a curve.  Its line subsheaves have degree
-    at least max(-l1, -l2, -l3, e), and a maximal one has degree
-    s = max(that floor, e/2); the value is s(e - s)/n^2.  The 1/n^2
-    normalization is calibrated against the closed form on its exact branches
-    (see the test suite); this derivation is otherwise independent of the
-    piecewise case analysis and serves as an oracle for it.
+    Each branch is the closed form given for its class in the module
+    docstring.  A germ built from a document comes from
+    :func:`singularity_from_dict`.
     """
-    for name, value in (("n", n), ("l1", l1), ("l2", l2), ("l3", l3)):
-        if not is_integer(value):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    for name, l in (("l1", l1), ("l2", l2), ("l3", l3)):
-        if not 1 <= l <= n - 1:
-            raise ValueError(f"{name} = {l} outside the interior range 1..{n - 1}")
-    e = n - l1 - l2 - l3
-    s = max(Fraction(max(-l1, -l2, -l3, e)), Fraction(e, 2))
-    return s * (e - s) / (n * n)
-
-
-def euler_local(s: LocalSingularity) -> EulerValue:
-    """Evaluate a built germ by its class; euler_cyclic and euler_star build theirs and call this."""
     if isinstance(s, Ordinary):
-        return euler_ordinary(s)
+        # A weight-0 branch does not change the underlying divisor; dropping
+        # such branches keeps both the value and the exactness kind stable
+        # under padding with zeros.  A single branch folds to 1 - a, the count
+        # of a smooth boundary point.
+        ratios = [ratio for ratio in map(Fraction.as_integer_ratio, s.coeffs) if ratio[0]]
+        if not ratios:
+            return EulerValue(_ONE, Exactness.EXACT, True)
+        # Over den = lcm of the denominators, a = total/den and a_n = top/den.
+        den = lcm(*(q for _, q in ratios))
+        scaled = [p * (den // q) for p, q in ratios]
+        total = sum(scaled)
+        top = max(scaled)
+        if total > 2 * den:
+            return EulerValue(_ZERO, Exactness.EXACT, False)
+        if 2 * top >= total:
+            return EulerValue(Fraction((den - total + top) * (den - top), den * den), Exactness.EXACT, True)
+        # (a - 2)^2 / 4, exact for at most three branches and an upper bound beyond.
+        kind = Exactness.EXACT if len(ratios) <= 3 else Exactness.UPPER_BOUND
+        return EulerValue(Fraction((2 * den - total) ** 2, 4 * den * den), kind, True)
     if isinstance(s, CyclicQuotient):
         p1, q1 = s.d1.as_integer_ratio()
         p2, q2 = s.d2.as_integer_ratio()
@@ -448,7 +371,7 @@ def euler_local(s: LocalSingularity) -> EulerValue:
     raise TypeError(f"not a local singularity: {type(s).__name__}")
 
 
-def singularity_from_dict(doc) -> LocalSingularity:
+def singularity_from_dict(doc) -> Ordinary | CyclicQuotient | StarQuotient | ReducedGerm:
     """Build a local singularity from its document form.
 
     Recognised ``"type"`` values: ``"ordinary"`` (field ``coeffs``),
@@ -487,7 +410,7 @@ def _list_field(doc, name):
     return value
 
 
-def singularity_to_dict(s: LocalSingularity) -> dict:
+def singularity_to_dict(s: Ordinary | CyclicQuotient | StarQuotient | ReducedGerm) -> dict:
     if isinstance(s, Ordinary):
         return {"type": "ordinary", "coeffs": [format_rational(c) for c in s.coeffs]}
     if isinstance(s, CyclicQuotient):

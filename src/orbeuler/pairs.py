@@ -45,17 +45,16 @@ built pair fails a certificate only where the evaluator refuses a germ.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from marshal import dumps as marshal_dumps
-from typing import Mapping, Optional
 
 from ._record import record
 from .local import (
     CyclicQuotient,
     Exactness,
-    LocalSingularity,
     Ordinary,
     ReducedGerm,
     StarQuotient,
@@ -74,7 +73,6 @@ __all__ = [
     "GlobalEuler",
     "BmyReport",
     "IneqReport",
-    "euler_top_curve",
     "euler_orbifold_global",
     "pair_kd_squared",
     "check_bmy",
@@ -130,8 +128,8 @@ class ComponentData:
     id: str
     coeff: Fraction
     genus: int
-    degree: Optional[int] = None
-    pairings: Optional[Mapping[str, int]] = None
+    degree: int | None = None
+    pairings: Mapping[str, int] | None = None
 
     def _check(id, coeff, genus, degree, pairings):
         if not isinstance(id, str) or not id:
@@ -174,7 +172,7 @@ class SingularPointData:
     """
 
     id: str
-    local: LocalSingularity
+    local: Ordinary | CyclicQuotient | StarQuotient | ReducedGerm
     incident: tuple
     multiplicity: Fraction
 
@@ -222,7 +220,7 @@ class PairDescription:
     surface: SurfaceData
     components: tuple
     points: tuple
-    effective: Optional[bool] = None
+    effective: bool | None = None
 
     def _check(surface, components, points, effective):
         components = tuple(components)
@@ -317,19 +315,7 @@ class BmyReport(IneqReport):
     multiplicities: IneqReport
 
 
-def euler_top_curve(genus: int, branch_counts) -> int:
-    """e_top of a curve: 2 - 2g - sum (r_P - 1) over its singular points."""
-    if not is_integer(genus) or genus < 0:
-        raise ValueError(f"genus must be a nonnegative integer, got {genus!r}")
-    total = 2 - 2 * genus
-    for r in branch_counts:
-        if not is_integer(r) or r < 1:
-            raise ValueError(f"branch count must be a positive integer, got {r!r}")
-        total -= r - 1
-    return total
-
-
-def _boundary_weights(germ: LocalSingularity) -> tuple:
+def _boundary_weights(germ: Ordinary | CyclicQuotient | StarQuotient | ReducedGerm) -> tuple:
     """The boundary weights a germ puts at its point; a reduced germ is one
     weight-1 curve, and a germ of no known class is left to the evaluator."""
     if isinstance(germ, Ordinary):

@@ -13,27 +13,26 @@ from fractions import Fraction as F
 
 from orbeuler import (
     CurveGerm,
+    CyclicQuotient,
     Exactness,
+    Ordinary,
+    StarQuotient,
     Verdict,
     canonical_degree_bound,
     check_arrangement,
     check_bmy,
     check_singularity_budget,
-    cover_degree,
     cusp_count_bound,
     cusp_ratio_optimize,
     cusp_star,
-    euler_cyclic,
-    euler_ordinary,
-    euler_ordinary3_cover_oracle,
-    euler_star,
+    euler_local,
     germ_invariants,
-    milnor_number,
     validate_star,
 )
 from orbeuler.rationals import Chain
 
 from fixtures import lc_effective_corpus, quadrilateral_pair
+from oracles import cover_degree, euler_ordinary3_cover_oracle
 from test_applications import fermat_family_counts, paper_cusp_constant_bracket
 from test_germs import ADE_NORMAL_FORMS, PERTURBED_GERM, PERTURBED_TAU
 from test_local import ADE_STARS
@@ -61,7 +60,7 @@ def test_criterion_01_cusp_table():
         }
         for alpha, value in expected.items():
             star = cusp_star(alpha)
-            assert euler_star(star.b, star.arms).value == value, alpha
+            assert euler_local(star).value == value, alpha
 
 
 def test_criterion_02_oracle_equivalence():
@@ -71,7 +70,7 @@ def test_criterion_02_oracle_equivalence():
             for l1 in range(1, n):
                 for l2 in range(1, n):
                     for l3 in range(1, n):
-                        closed = euler_ordinary([1 - F(l, n) for l in (l1, l2, l3)])
+                        closed = euler_local(Ordinary([1 - F(l, n) for l in (l1, l2, l3)]))
                         oracle = euler_ordinary3_cover_oracle(n, l1, l2, l3)
                         assert closed.value == oracle, (n, l1, l2, l3)
                         cases += 1
@@ -82,7 +81,7 @@ def test_criterion_03_quotient_reciprocals():
     with criterion(3, "ADE quotient reciprocals"):
         expected = {"D4": F(1, 8), "E6": F(1, 24), "E7": F(1, 48), "E8": F(1, 120)}
         for name, (b, arms, triple, value) in ADE_STARS.items():
-            star_value = euler_star(b, arms)
+            star_value = euler_local(StarQuotient(b, arms))
             validation = validate_star(b, arms)
             degree = cover_degree(validation.invariants.b0, *triple).degree
             assert star_value.value == expected[name] == 1 / degree, name
@@ -151,7 +150,7 @@ def test_criterion_09_milnor_tjurina_suite():
     with criterion(9, "Milnor/Tjurina suite"):
         for p in range(2, 7):
             for q in range(p, 7):
-                assert milnor_number(f"x^{p}+y^{q}") == (p - 1) * (q - 1), (p, q)
+                assert germ_invariants(f"x^{p}+y^{q}").mu == (p - 1) * (q - 1), (p, q)
         for form in ADE_NORMAL_FORMS:
             invariants = germ_invariants(form)
             assert invariants.mu == invariants.tau, form
@@ -188,32 +187,32 @@ def test_criterion_10_property_gates():
         ]
         for coeffs in samples:
             total = sum(coeffs)
-            value = euler_ordinary(coeffs)
+            value = euler_local(Ordinary(coeffs))
             if value.lc:
                 assert value.value <= (1 - total / 2) ** 2, coeffs
                 assert value.value <= 1, coeffs
         # weight-1 kill for ordinary and cyclic germs
         for extra in ([F(1)], [F(1), F(1)], [F(1), F(1, 2)], [F(1), F(1, 3), F(1, 3)]):
-            value = euler_ordinary(extra)
+            value = euler_local(Ordinary(extra))
             if value.lc:
                 assert value.value == 0, extra
         for n, q in ((1, 0), (2, 1), (5, 2), (7, 3)):
-            assert euler_cyclic(Chain(n, q), F(1), F(1, 3)).value == 0, (n, q)
+            assert euler_local(CyclicQuotient(Chain(n, q), F(1), F(1, 3))).value == 0, (n, q)
         # cyclic scaling identity against the two-branch smooth value
         for n, q in ((1, 0), (2, 1), (3, 1), (5, 2), (8, 3), (12, 5)):
             for d1, d2 in ((F(0), F(0)), (F(1, 2), F(1, 3)), (F(1), F(2, 5))):
-                lifted = euler_ordinary([d1, d2]).value
-                assert n * euler_cyclic(Chain(n, q), d1, d2).value == lifted, (n, q, d1, d2)
+                lifted = euler_local(Ordinary([d1, d2])).value
+                assert n * euler_local(CyclicQuotient(Chain(n, q), d1, d2)).value == lifted, (n, q, d1, d2)
         # piecewise continuity at every case boundary
         for top in (F(1, 4), F(1, 3), F(2, 5), F(1, 2), F(3, 5)):
-            balanced = euler_ordinary([top, top / 2, top / 2])
+            balanced = euler_local(Ordinary([top, top / 2, top / 2]))
             assert balanced.value == (1 - top) ** 2 == (1 - (2 * top) / 2) ** 2, top
-        assert euler_ordinary([F(2, 3)] * 3).value == 0
-        assert euler_ordinary([F(1), F(1, 2), F(1, 2)]).value == 0
+        assert euler_local(Ordinary([F(2, 3)] * 3)).value == 0
+        assert euler_local(Ordinary([F(1), F(1, 2), F(1, 2)])).value == 0
         boundary_star = cusp_star(F(5, 6))
-        assert euler_star(boundary_star.b, boundary_star.arms).value == 0
+        assert euler_local(boundary_star).value == 0
         split_star = cusp_star(F(1, 6))
-        split = euler_star(split_star.b, split_star.arms).value
+        split = euler_local(split_star).value
         assert split == F(2, 3)
         for beta in (F(1, 5), F(1, 3), F(2, 7)):
             for b0 in (F(1, 6), F(1, 30), F(1, 2)):

@@ -831,6 +831,12 @@ OFF_D = {"id": "R", "local": {"type": "ordinary", "coeffs": ["1/2"]}, "incident"
             ),
             "missing 'mu' or 'e_orb'",
         ),
+        # json decodes recursively, and running out of stack is invalid
+        # input, not a violation (exit 1) with a traceback.
+        *(
+            ((command, "[" * 100000 + "]" * 100000), "document nested too deeply")
+            for command in ("local", "germ", "global")
+        ),
     ],
 )
 def test_invalid_input_is_exit_2(capsys, argv, message):

@@ -20,17 +20,14 @@ from orbeuler import (
     StarQuotient,
     StarValidation,
     as_rational,
-    cover_degree,
-    euler_cyclic,
     euler_local,
-    euler_ordinary,
-    euler_ordinary3_cover_oracle,
-    euler_star,
     format_rational,
     singularity_from_dict,
     singularity_to_dict,
     validate_star,
 )
+
+from oracles import cover_degree, euler_ordinary3_cover_oracle
 
 weights = st.fractions(min_value=0, max_value=1, max_denominator=24)
 
@@ -428,48 +425,48 @@ class TestLcStatus:
 
 class TestOrdinary:
     def test_three_halves(self):
-        value = euler_ordinary([F(1, 2)] * 3)
+        value = euler_local(Ordinary([F(1, 2)] * 3))
         assert (value.value, value.exactness, value.lc) == (F(1, 16), Exactness.EXACT, True)
 
     def test_unbalanced_triple(self):
-        assert euler_ordinary([F(1, 6), F(1, 3), F(1, 2)]).value == F(1, 4)
+        assert euler_local(Ordinary([F(1, 6), F(1, 3), F(1, 2)])).value == F(1, 4)
 
     def test_four_branch_upper_bound(self):
-        value = euler_ordinary([F(1, 3)] * 4)
+        value = euler_local(Ordinary([F(1, 3)] * 4))
         assert value.value == F(1, 9)
         assert value.exactness is Exactness.UPPER_BOUND
         assert value.lc
 
     def test_single_branch_is_smooth_point(self):
-        assert euler_ordinary([F(1, 2)]).value == F(1, 2)
-        assert euler_ordinary([F(0)]).value == F(1)
+        assert euler_local(Ordinary([F(1, 2)])).value == F(1, 2)
+        assert euler_local(Ordinary([F(0)])).value == F(1)
 
     def test_non_lc_reports_zero_exact(self):
-        value = euler_ordinary([F(1)] * 3)
+        value = euler_local(Ordinary([F(1)] * 3))
         assert (value.value, value.exactness, value.lc) == (F(0), Exactness.EXACT, False)
 
     def test_weight_out_of_range(self):
         with pytest.raises(ValueError):
-            euler_ordinary([F(3, 2)])
+            euler_local(Ordinary([F(3, 2)]))
         with pytest.raises(ValueError):
-            euler_ordinary([])
+            euler_local(Ordinary([]))
 
     @given(st.lists(weights, min_size=1, max_size=6))
     def test_permutation_invariance(self, coeffs):
-        forward = euler_ordinary(coeffs)
-        assert euler_ordinary(list(reversed(coeffs))) == forward
-        assert euler_ordinary(sorted(coeffs)) == forward
+        forward = euler_local(Ordinary(coeffs))
+        assert euler_local(Ordinary(list(reversed(coeffs)))) == forward
+        assert euler_local(Ordinary(sorted(coeffs))) == forward
 
     @given(st.lists(weights, min_size=2, max_size=6))
     def test_zero_padding_never_changes_value_or_kind(self, coeffs):
-        base = euler_ordinary(coeffs)
-        padded = euler_ordinary(coeffs + [F(0)])
+        base = euler_local(Ordinary(coeffs))
+        padded = euler_local(Ordinary(coeffs + [F(0)]))
         assert padded == base
 
     @given(st.lists(weights, min_size=1, max_size=6))
     def test_multiplicity_bound_for_lc(self, coeffs):
         total = sum(coeffs)
-        value = euler_ordinary(coeffs)
+        value = euler_local(Ordinary(coeffs))
         if total <= 2:
             assert value.value <= (1 - total / 2) ** 2
             assert value.value <= 1
@@ -479,35 +476,35 @@ class TestOrdinary:
     @given(st.lists(weights, min_size=0, max_size=4))
     def test_weight_one_kill(self, coeffs):
         point = coeffs + [F(1)]
-        value = euler_ordinary(point)
+        value = euler_local(Ordinary(point))
         if value.lc:
             assert value.value == 0
 
     def test_balanced_boundary_matches_both_cases(self):
         # At 2 a_n = a the two exact formulas agree: both give (1 - a_n)^2.
         for top in (F(1, 5), F(1, 3), F(2, 5), F(1, 2)):
-            value = euler_ordinary([top, top / 2, top / 2])
+            value = euler_local(Ordinary([top, top / 2, top / 2]))
             assert value.value == (1 - top) ** 2
 
     def test_sum_two_boundary_gives_zero(self):
-        assert euler_ordinary([F(1), F(1, 2), F(1, 2)]).value == 0
-        assert euler_ordinary([F(2, 3)] * 3).value == 0
+        assert euler_local(Ordinary([F(1), F(1, 2), F(1, 2)])).value == 0
+        assert euler_local(Ordinary([F(2, 3)] * 3)).value == 0
 
 
 class TestCyclic:
     def test_examples(self):
-        assert euler_cyclic(Chain(1, 0), F(1, 2), F(1, 3)).value == F(1, 3)
-        assert euler_cyclic(Chain(3, 1), F(0), F(0)).value == F(1, 3)
-        assert euler_cyclic(Chain(4, 3), F(1), F(1, 2)).value == F(0)
+        assert euler_local(CyclicQuotient(Chain(1, 0), F(1, 2), F(1, 3))).value == F(1, 3)
+        assert euler_local(CyclicQuotient(Chain(3, 1), F(0), F(0))).value == F(1, 3)
+        assert euler_local(CyclicQuotient(Chain(4, 3), F(1), F(1, 2))).value == F(0)
 
     def test_value_independent_of_q(self):
-        assert euler_cyclic(Chain(5, 2), F(1, 3), F(1, 7)) == euler_cyclic(
-            Chain(5, 3), F(1, 3), F(1, 7)
+        assert euler_local(CyclicQuotient(Chain(5, 2), F(1, 3), F(1, 7))) == euler_local(
+            CyclicQuotient(Chain(5, 3), F(1, 3), F(1, 7))
         )
 
     def test_minus_one_curve_rejected(self):
         with pytest.raises(ChainError):
-            euler_cyclic(Chain(1, 1), F(0), F(0))
+            euler_local(CyclicQuotient(Chain(1, 1), F(0), F(0)))
 
     @given(
         st.integers(1, 40),
@@ -517,8 +514,8 @@ class TestCyclic:
     def test_scaling_identity(self, n, d1, d2):
         # Degree-n quotients scale the two-branch smooth value by 1/n.
         q = next(q for q in range(n) if gcd(n, q) == 1 and q < max(n, 1))
-        lifted = euler_ordinary([d1, d2])
-        assert n * euler_cyclic(Chain(n, q), d1, d2).value == lifted.value
+        lifted = euler_local(Ordinary([d1, d2]))
+        assert n * euler_local(CyclicQuotient(Chain(n, q), d1, d2)).value == lifted.value
 
 
 class TestStars:
@@ -546,30 +543,30 @@ class TestStars:
         for name, (b, arms, triple, expected) in ADE_STARS.items():
             validation = validate_star(b, star(b, arms).arms)
             assert validation.triple == triple, name
-            value = euler_star(b, star(b, arms).arms)
+            value = euler_local(star(b, arms))
             record = cover_degree(validation.invariants.b0, *triple)
             assert value.value == expected == 1 / record.degree, name
 
     def test_cusp_values(self):
-        assert euler_star(1, cusp(F(1, 2)).arms).value == F(1, 6)
-        assert euler_star(1, cusp(F(1, 12)).arms).value == F(5, 6)
-        non_lc = euler_star(1, cusp(F(9, 10)).arms)
+        assert euler_local(cusp(F(1, 2))).value == F(1, 6)
+        assert euler_local(cusp(F(1, 12))).value == F(5, 6)
+        non_lc = euler_local(cusp(F(9, 10)))
         assert (non_lc.value, non_lc.lc) == (F(0), False)
 
     def test_case_boundaries_agree(self):
         # alpha = 1: the balanced formula vanishes like the non-lc case.
-        boundary = euler_star(1, cusp(F(5, 6)).arms)
+        boundary = euler_local(cusp(F(5, 6)))
         assert (boundary.value, boundary.lc) == (F(0), True)
         # alpha = 2 beta + 1: both closed forms give beta^2 / b0.
         invariants = validate_star(1, cusp(F(1, 6)).arms).invariants
         assert invariants.alpha == 2 * invariants.beta + 1
-        value = euler_star(1, cusp(F(1, 6)).arms).value
+        value = euler_local(cusp(F(1, 6))).value
         assert value == (invariants.alpha - 1) ** 2 / (4 * invariants.b0)
         assert value == (invariants.alpha - 1 - invariants.beta) * invariants.beta / invariants.b0
 
     @given(st.fractions(min_value=0, max_value=1, max_denominator=60))
     def test_weight_one_arm_kills_value(self, d):
-        value = euler_star(2, star(2, ((2, 1, 1), (3, 2, 0), (5, 4, d))).arms)
+        value = euler_local(star(2, ((2, 1, 1), (3, 2, 0), (5, 4, d))))
         assert value.value == 0
 
     @pytest.mark.parametrize(
@@ -583,8 +580,6 @@ class TestStars:
     def test_malformed_star_rejected(self, b, arms, message):
         with pytest.raises(ValueError, match=message):
             StarQuotient(b, arms)
-        with pytest.raises(ValueError, match=message):
-            euler_star(b, arms)
 
 
 class TestCoverDegree:
@@ -646,9 +641,7 @@ class TestCoverOracle:
             for l1 in range(1, n):
                 for l2 in range(1, n):
                     for l3 in range(1, n):
-                        closed = euler_ordinary(
-                            [1 - F(l, n) for l in (l1, l2, l3)]
-                        )
+                        closed = euler_local(Ordinary([1 - F(l, n) for l in (l1, l2, l3)]))
                         assert closed.value == euler_ordinary3_cover_oracle(n, l1, l2, l3)
 
 
@@ -687,15 +680,12 @@ class TestDispatchAndSerialization:
             singularity_from_dict({"type": "ordinary"})
 
     @pytest.mark.parametrize(
-        "germ, evaluate",
-        [
-            (CyclicQuotient(Chain(5, 2), F(1, 3), F(0)), lambda g: euler_cyclic(g.chain, g.d1, g.d2)),
-            (star(2, ADE_STARS["E8"][1]), lambda g: euler_star(g.b, g.arms)),
-        ],
+        "germ",
+        [CyclicQuotient(Chain(5, 2), F(1, 3), F(0)), star(2, ADE_STARS["E8"][1])],
         ids=["cyclic", "star"],
     )
-    def test_evaluation_reads_the_given_germ(self, monkeypatch, germ, evaluate):
-        expected = evaluate(germ)
+    def test_evaluation_reads_the_given_germ(self, monkeypatch, germ):
+        expected = oracle(germ)
         built = []
         monkeypatch.setattr(type(germ), "__init__", lambda *args, **kwargs: built.append(args))
         assert euler_local(germ) == expected

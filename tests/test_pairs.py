@@ -26,7 +26,6 @@ from orbeuler import (
     check_bmy_multiplicities,
     euler_local,
     euler_orbifold_global,
-    euler_top_curve,
     format_rational,
     max_canonical_degree_extremal,
     pair_from_dict,
@@ -50,6 +49,7 @@ from fixtures import (
     smooth_plane_curve_pair,
     concurrent_lines_pair,
 )
+from oracles import euler_top_curve
 
 weights = st.fractions(min_value=0, max_value=1, max_denominator=24)
 
@@ -246,7 +246,7 @@ def paper_formula(pair):
     """e_orb and the multiplicity right side, term by term as the paper writes them.
 
     e_orb = e_top - sum a_i e_top(D_i - Sing) + sum_P (e_P - 1), with
-    e_top(D_i - Sing) from :func:`euler_top_curve` and the number of points
+    e_top(D_i - Sing) from :func:`oracles.euler_top_curve` and the number of points
     on D_i; the multiplicity side is 3 (e_top + sum a_i (2 g_i - 2) +
     sum_P (r_P - m_P + m_P^2/4)), with r_P summed point by point.
     """

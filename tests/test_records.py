@@ -30,7 +30,6 @@ from orbeuler import (
     check_arrangement,
     check_bmy,
     check_singularity_budget,
-    cover_degree,
     germ_invariants,
     validate_star,
 )
@@ -84,10 +83,6 @@ RECORDS = {
     "StarValidation": (
         lambda: validate_star(2, E8),
         f"StarValidation(invariants={INVARIANTS}, triple=(2, 3, 5), multipliers=(1, 1, 1))",
-    ),
-    "CoverDegree": (
-        lambda: cover_degree("1/30", 2, 3, 5),
-        "CoverDegree(half_order=Fraction(30, 1), degree=Fraction(120, 1), triple=(2, 3, 5))",
     ),
     "SurfaceData": (lambda: SurfaceData.generic(-4, 2), "SurfaceData(e_top=-4, c1_sq=2, plane=False)"),
     "ComponentData": (

@@ -3,7 +3,8 @@
 Each case runs in a fresh interpreter, as ``python -m orbeuler`` would, and
 reads back ``sys.modules``: a subcommand must not load the modules that it
 does not run, nor ``multiprocessing`` at any ``--jobs``, nor the slow stdlib
-modules in ``SLOW``, nor ``decimal``.
+modules in ``SLOW``, nor ``decimal``.  The probes run under ``python -S``, so
+that no ``site`` hook can load a module before the CLI does and hide it.
 """
 
 import json
@@ -31,16 +32,16 @@ with contextlib.redirect_stdout(io.StringIO()):
         runpy.run_module("orbeuler", run_name="__main__", alter_sys=True)
     except SystemExit as stop:
         code = stop.code
-roots = ("orbeuler", "concurrent", "multiprocessing", "dataclasses", "inspect", "decimal")
+roots = ("orbeuler", "concurrent", "multiprocessing", "dataclasses", "inspect", "typing", "decimal")
 print(json.dumps([code, sorted(m for m in sys.modules if m.partition(".")[0] in roots)]))
 """
 
 # --jobs forks workers itself and loads no process pool.
 POOL = ("concurrent", "multiprocessing")
 # Library records are built without dataclasses, which imports inspect; each
-# costs a process about 10 ms.  A site hook outside this repository may load
-# them before any CLI code runs, and then they are not the CLI's doing.
-SLOW = ("dataclasses", "inspect")
+# costs a process about 10 ms.  The library takes its abstract types from
+# collections.abc, not typing, which costs about 4 ms.
+SLOW = ("dataclasses", "inspect", "typing")
 # Only a decimal annotation beyond float range needs decimal.  On Python 3.10
 # to 3.13 fractions, which every subcommand imports, loads it itself; then it
 # is not the CLI's doing either.
@@ -78,11 +79,11 @@ def loaded_anyway():
         f"import json, sys; slow = [m for m in {SLOW!r} if m in sys.modules]; import fractions; "
         f"print(json.dumps(slow + [m for m in {LAZY!r} if m in sys.modules]))"
     )
-    return json.loads(python("-c", probe))
+    return json.loads(python("-S", "-c", probe))
 
 
 def loaded_by(argv):
-    code, modules = json.loads(python("-c", PROBE, json.dumps(argv)))
+    code, modules = json.loads(python("-S", "-c", PROBE, json.dumps(argv)))
     assert code == 0
     return modules
 
