@@ -4,15 +4,23 @@ No certificate uses these: each recomputes a closed form of the library by a
 second route, so a change to that closed form shows up as a disagreement.
 """
 
-from collections import namedtuple
 from fractions import Fraction
 
+from orbeuler._record import record
 from orbeuler.rationals import as_rational, format_rational, is_integer
 
-# Order bookkeeping for the smooth cover of a polyhedral quotient.
-# ``half_order`` is the s with 1 + 1/s = 1/p1 + 1/p2 + 1/p3 (half the order
-# of the projectivized group); the covering degree is ``4 s^2 b0``.
-CoverDegree = namedtuple("CoverDegree", ["half_order", "degree", "triple"])
+
+@record
+class CoverDegree:
+    """Order bookkeeping for the smooth cover of a polyhedral quotient.
+
+    ``half_order`` is the s with 1 + 1/s = 1/p1 + 1/p2 + 1/p3 (half the order
+    of the projectivized group); the covering degree is ``4 s^2 b0``.
+    """
+
+    half_order: Fraction
+    degree: Fraction
+    triple: tuple[int, int, int]
 
 
 def cover_degree(b0, p1, p2, p3):

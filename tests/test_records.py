@@ -1,4 +1,5 @@
-"""Every library record keeps the value semantics it had as a frozen dataclass.
+"""Every library record, and the oracles' ``CoverDegree``, keeps the value
+semantics it had as a frozen dataclass.
 
 The expected reprs are the ones ``@dataclass(frozen=True)`` produced for the
 same instances.
@@ -33,6 +34,7 @@ from orbeuler import (
     germ_invariants,
     validate_star,
 )
+from oracles import cover_degree
 
 
 def four_lines():
@@ -83,6 +85,10 @@ RECORDS = {
     "StarValidation": (
         lambda: validate_star(2, E8),
         f"StarValidation(invariants={INVARIANTS}, triple=(2, 3, 5), multipliers=(1, 1, 1))",
+    ),
+    "CoverDegree": (
+        lambda: cover_degree("1/30", 2, 3, 5),
+        "CoverDegree(half_order=Fraction(30, 1), degree=Fraction(120, 1), triple=(2, 3, 5))",
     ),
     "SurfaceData": (lambda: SurfaceData.generic(-4, 2), "SurfaceData(e_top=-4, c1_sq=2, plane=False)"),
     "ComponentData": (
