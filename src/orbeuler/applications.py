@@ -27,7 +27,15 @@ from fractions import Fraction
 from math import isqrt
 
 from ._record import record
-from .rationals import Chain, as_rational, format_rational, is_integer, rat_ceil, rat_floor
+from .rationals import (
+    _INTEGER_LITERAL,
+    Chain,
+    as_integer,
+    as_rational,
+    format_rational,
+    rat_ceil,
+    rat_floor,
+)
 
 __all__ = [
     "InvalidArrangementError",
@@ -61,8 +69,7 @@ class ArrangementData:
     t: tuple
 
     def _check(k, t):
-        if not is_integer(k) or k < 1:
-            raise InvalidArrangementError(f"k must be a positive integer, got {k!r}")
+        as_integer(k, "k", 1, InvalidArrangementError)
         normalized = []
         seen = set()
         for entry in t:
@@ -72,10 +79,8 @@ class ArrangementData:
                 raise InvalidArrangementError(
                     f"t entry {entry!r} is not an (r, t_r) pair"
                 ) from None
-            if not is_integer(r) or r < 2:
-                raise InvalidArrangementError(f"point order r must be an integer >= 2, got {r!r}")
-            if not is_integer(count) or count < 0:
-                raise InvalidArrangementError(f"t_{r} must be a nonnegative integer, got {count!r}")
+            as_integer(r, "point order r", 2, InvalidArrangementError)
+            as_integer(count, "t_{}", 0, InvalidArrangementError, r)
             if r in seen:
                 raise InvalidArrangementError(f"duplicate entry for r = {r}")
             seen.add(r)
@@ -92,19 +97,15 @@ class ArrangementData:
 
     @classmethod
     def from_counts(cls, k: int, t: Mapping) -> "ArrangementData":
-        """Data from a mapping r -> t_r; a key may be a decimal string, as in JSON."""
+        """Data from a mapping r -> t_r; a key may be an ASCII integer literal, as
+        in JSON, and any other key is checked as given, so other strings are refused."""
         if not isinstance(t, Mapping):
             raise InvalidArrangementError(f"t must map r to t_r, got {type(t).__name__}")
         return cls(k, tuple((_point_order(r), count) for r, count in t.items()))
 
 
 def _point_order(r):
-    if not isinstance(r, str):
-        return r
-    try:
-        return int(r)
-    except ValueError:
-        raise InvalidArrangementError(f"t key {r!r} is not an integer point order") from None
+    return int(r) if isinstance(r, str) and _INTEGER_LITERAL.match(r) else r
 
 
 @record
@@ -207,8 +208,7 @@ def cusp_count_bound(degree: int, alpha) -> int:
     ties included.  Requires 0 < alpha <= 5/6 (the cusp stays log canonical)
     and alpha * d >= 3 (pseudoeffectivity).
     """
-    if not is_integer(degree) or degree < 1:
-        raise ValueError(f"degree must be a positive integer, got {degree!r}")
+    as_integer(degree, "degree", 1)
     alpha = as_rational(alpha)
     if not 0 < alpha <= Fraction(5, 6):
         raise ValueError(
@@ -235,8 +235,7 @@ def cusp_ratio_optimize(grid_denominator: int) -> tuple[Fraction, Fraction]:
     tightens the certified ratio.  Returns (alpha_star, ratio_star), the first
     grid point attaining the minimum.
     """
-    if not is_integer(grid_denominator) or grid_denominator < 48:
-        raise ValueError(f"grid denominator must be an integer >= 48, got {grid_denominator!r}")
+    as_integer(grid_denominator, "grid denominator", 48)
     g = grid_denominator
     # j = floor(g alpha*).  As alpha* - 1/6 > 1/7 and 5/6 - alpha* > 1/2, both j
     # and j + 1 lie in [g//6 + 1, 5g//6] for g >= 48, so neither needs clipping.
@@ -255,11 +254,9 @@ def canonical_degree_bound(c1_sq: int, c2: int, genus: int, ordinary: bool) -> F
     hypothesis is c1^2 > c2 and the bound is
     (3 c2 - c1^2 + max(0, 4g - 4)) c1^2 / (c1^2 - c2).
     """
-    for name, value in (("c1_sq", c1_sq), ("c2", c2)):
-        if not is_integer(value):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-    if not is_integer(genus) or genus < 0:
-        raise ValueError(f"genus must be a nonnegative integer, got {genus!r}")
+    as_integer(c1_sq, "c1_sq")
+    as_integer(c2, "c2")
+    as_integer(genus, "genus", 0)
     if ordinary:
         if c1_sq <= c2:
             raise ValueError(f"hypothesis c1^2 > c2 fails: {c1_sq} <= {c2}")
@@ -290,9 +287,10 @@ def check_singularity_budget(
     canonical and K + alpha C pseudoeffective; this function only evaluates
     both sides and reports the comparison.
     """
-    for name, value in (("c1_sq", c1_sq), ("c2", c2), ("k_dot_c", k_dot_c), ("c_sq", c_sq)):
-        if not is_integer(value):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
+    as_integer(c1_sq, "c1_sq")
+    as_integer(c2, "c2")
+    as_integer(k_dot_c, "k_dot_c")
+    as_integer(c_sq, "c_sq")
     alpha = as_rational(alpha)
     lhs = Fraction(0)
     for entry in points:
@@ -300,8 +298,7 @@ def check_singularity_budget(
             mu, local_value = entry
         except (TypeError, ValueError):
             raise ValueError(f"point {entry!r} is not a (mu, e_orb) pair") from None
-        if not is_integer(mu) or mu < 1:
-            raise ValueError(f"mu must be a positive integer, got {mu!r}")
+        as_integer(mu, "mu", 1)
         lhs += 3 * (alpha * (mu - 1) + 1 - as_rational(local_value))
     rhs = 3 * c2 - c1_sq + alpha * k_dot_c + (3 * alpha - alpha * alpha) * c_sq
     return BudgetReport(

@@ -24,7 +24,7 @@ from fractions import Fraction
 # Every path formats rationals; the other modules are imported by the
 # handlers and workers that use them, so that a process loads only what its
 # subcommand runs.
-from .rationals import as_rational, format_rational as _rat
+from .rationals import as_list, as_object, as_rational, format_rational as _rat
 
 _EXIT_BY_VERDICT = {
     "computed": 0,
@@ -263,11 +263,7 @@ def _cmd_arrangement(args):
         raise ValueError("ambiguous input: both a document and inline flags were given")
     if args.input is not None:
         doc = _load_document(args.input)
-        if not isinstance(doc, dict) or "k" not in doc or "t" not in doc:
-            raise ValueError("arrangement document needs 'k' and 't' fields")
-        if not isinstance(doc["t"], dict):
-            raise ValueError("arrangement field 't' must be an object mapping r to t_r")
-        data = ArrangementData.from_counts(doc["k"], doc["t"])
+        data = ArrangementData.from_counts(*as_object(doc, "arrangement document", "k", "t"))
     else:
         if args.k is None or args.t is None:
             raise ValueError("give --k and --t, or a document")
@@ -338,20 +334,13 @@ def _cmd_bound(args):
 def _cmd_check(args):
     from .applications import check_singularity_budget
 
-    doc = _load_document(args.input)
-    for key in ("c1_sq", "c2", "alpha", "k_dot_c", "c_sq", "points"):
-        if not isinstance(doc, dict) or key not in doc:
-            raise ValueError(f"check document missing field {key!r}")
-    points = doc["points"]
-    if not isinstance(points, list):
-        raise ValueError(f"check field 'points' must be a list, got {type(points).__name__}")
-    for entry in points:
-        if isinstance(entry, dict) and ("mu" not in entry or "e_orb" not in entry):
-            raise ValueError(f"point entry missing 'mu' or 'e_orb': {entry!r}")
-    points = [(entry["mu"], entry["e_orb"]) if isinstance(entry, dict) else entry for entry in points]
-    report = check_singularity_budget(
-        doc["c1_sq"], doc["c2"], doc["alpha"], doc["k_dot_c"], doc["c_sq"], points
-    )
+    fields = ("c1_sq", "c2", "alpha", "k_dot_c", "c_sq", "points")
+    *numbers, points = as_object(_load_document(args.input), "check document", *fields)
+    points = [
+        as_object(entry, "point entry", "mu", "e_orb") if isinstance(entry, dict) else entry
+        for entry in as_list(points, "check field 'points'")
+    ]
+    report = check_singularity_budget(*numbers, points)
     values = {
         "lhs": _rat(report.lhs),
         "rhs": _rat(report.rhs),

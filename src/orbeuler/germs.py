@@ -49,7 +49,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from ._record import record
-from .rationals import as_rational, format_rational, is_integer, parse_rational
+from .rationals import as_integer, as_list, as_object, as_rational, format_rational, parse_rational
 
 __all__ = [
     "DEFAULT_CAP",
@@ -72,9 +72,9 @@ class NotIsolatedError(ValueError):
 
 
 _MONOMIAL = re.compile(
-    r"(?P<coeff>\d+(?:/\d+)?)?"
-    r"(?P<xpart>x(?:\^(?P<i>\d+))?)?"
-    r"(?P<ypart>y(?:\^(?P<j>\d+))?)?\Z"
+    r"(?P<coeff>[0-9]+(?:/[0-9]+)?)?"
+    r"(?P<xpart>x(?:\^(?P<i>[0-9]+))?)?"
+    r"(?P<ypart>y(?:\^(?P<j>[0-9]+))?)?\Z"
 )
 
 
@@ -91,9 +91,8 @@ class CurveGerm:
                 i, j, c = entry
             except (TypeError, ValueError):
                 raise ValueError(f"term {entry!r} is not an (i, j, coefficient) triple") from None
-            for e in (i, j):
-                if not is_integer(e) or e < 0:
-                    raise ValueError(f"bad exponent pair in term {entry!r}")
+            as_integer(i, "term {!r}: exponent i", 0, ValueError, entry)
+            as_integer(j, "term {!r}: exponent j", 0, ValueError, entry)
             c = as_rational(c)
             if c:
                 key = (i, j)
@@ -277,8 +276,7 @@ def germ_invariants(f, cap: int = DEFAULT_CAP) -> GermInvariants:
     mu - tau is the local value of the weight-1 pair.
     """
     germ = _as_germ(f)
-    if not is_integer(cap) or cap < 1:
-        raise ValueError(f"cap must be a positive integer, got {cap!r}")
+    as_integer(cap, "cap", 1)
     if _is_smooth(germ):
         return GermInvariants(0, 0, 1)
     # Scaling f by the lcm of its denominators changes neither ideal and makes
@@ -316,14 +314,9 @@ def euler_top_complement(c2_surface: int, kd_dot_d: int, mus: Iterable[int]) -> 
 
 
 def _adjoint_difference(c2_surface, kd_dot_d, name: str, numbers: Iterable[int]) -> int:
-    for label, value in (("c2_surface", c2_surface), ("kd_dot_d", kd_dot_d)):
-        if not is_integer(value):
-            raise ValueError(f"{label} must be an integer, got {value!r}")
-    total = c2_surface + kd_dot_d
+    total = as_integer(c2_surface, "c2_surface") + as_integer(kd_dot_d, "kd_dot_d")
     for number in numbers:
-        if not is_integer(number):
-            raise ValueError(f"{name} must be an integer, got {number!r}")
-        total -= number
+        total -= as_integer(number, name)
     return total
 
 
@@ -337,9 +330,8 @@ def lct_obstruction(pairs: Iterable) -> tuple[int, str]:
     total = 0
     for entry in pairs:
         mu, tau = entry
-        for label, value in (("mu", mu), ("tau", tau)):
-            if not is_integer(value):
-                raise ValueError(f"{label} must be an integer, got {value!r}")
+        as_integer(mu, "mu")
+        as_integer(tau, "tau")
         if mu < 0 or tau < 0 or mu < tau:
             raise ValueError(f"need mu >= tau >= 0, got (mu, tau) = ({mu}, {tau})")
         total += mu - tau
@@ -348,12 +340,8 @@ def lct_obstruction(pairs: Iterable) -> tuple[int, str]:
 
 def germ_from_dict(doc) -> CurveGerm:
     """Build a germ from ``{"terms": [[i, j, "p/q"], ...]}``."""
-    if not isinstance(doc, dict) or "terms" not in doc:
-        raise ValueError("germ object must have a 'terms' field")
-    terms = doc["terms"]
-    if not isinstance(terms, list):
-        raise ValueError(f"germ field 'terms' must be a list, got {type(terms).__name__}")
-    return CurveGerm(terms)
+    (terms,) = as_object(doc, "germ", "terms")
+    return CurveGerm(as_list(terms, "germ field 'terms'"))
 
 
 def germ_to_dict(germ: CurveGerm) -> dict:

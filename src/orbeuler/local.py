@@ -49,7 +49,16 @@ from functools import lru_cache
 from math import lcm
 
 from ._record import record
-from .rationals import Chain, ChainError, as_rational, format_rational, is_integer, parse_rational
+from .rationals import (
+    Chain,
+    ChainError,
+    as_integer,
+    as_list,
+    as_object,
+    as_rational,
+    as_weight,
+    format_rational,
+)
 
 __all__ = [
     "NotQuotientError",
@@ -115,10 +124,7 @@ class EulerValue:
 def _weight(value) -> Fraction:
     if value.__class__ is str:
         return _weight_literal(value)
-    w = as_rational(value)
-    if not 0 <= w.numerator <= w.denominator:
-        raise ValueError(f"boundary weight {format_rational(w)} outside [0, 1]")
-    return w
+    return as_weight(value, "boundary weight")
 
 
 @lru_cache(maxsize=4096)
@@ -129,7 +135,7 @@ def _weight_literal(text: str) -> Fraction:
     ``True`` for one key, and each keeps its own verdict.  A refused literal
     is not remembered and raises again on every call.
     """
-    return _weight(parse_rational(text))
+    return as_weight(text, "boundary weight")
 
 
 def _as_chain(chain) -> Chain:
@@ -194,8 +200,7 @@ class StarQuotient:
     arms: tuple
 
     def _check(b, arms):
-        if not is_integer(b) or b < 1:
-            raise ValueError(f"central weight b must be a positive integer, got {b!r}")
+        as_integer(b, "central weight b", 1)
         arms = tuple(arm if isinstance(arm, StarArm) else _star_arm(arm) for arm in arms)
         if len(arms) != 3:
             raise ValueError(f"a star has exactly 3 arms, got {len(arms)}")
@@ -218,9 +223,8 @@ class ReducedGerm:
     tau: int
 
     def _check(mu, tau):
-        for name, value in (("mu", mu), ("tau", tau)):
-            if not is_integer(value) or value < 0:
-                raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
+        as_integer(mu, "mu", 0)
+        as_integer(tau, "tau", 0)
         if mu < tau:
             raise ValueError(f"mu >= tau required, got mu={mu}, tau={tau}")
         return mu, tau
@@ -379,35 +383,19 @@ def singularity_from_dict(doc) -> Ordinary | CyclicQuotient | StarQuotient | Red
     ``b`` and ``arms`` as ``[n, q, d]`` triples) and ``"germ_mu_tau"``
     (fields ``mu``, ``tau``).  Rationals are ``"p/q"`` strings.
     """
-    if not isinstance(doc, dict):
-        raise ValueError(f"expected a singularity object, got {type(doc).__name__}")
-    kind = doc.get("type")
+    (kind,) = as_object(doc, "singularity", "type")
     if kind == "ordinary":
-        return Ordinary(_list_field(doc, "coeffs"))
+        (coeffs,) = as_object(doc, "singularity", "coeffs")
+        return Ordinary(as_list(coeffs, "field 'coeffs'"))
     if kind == "cyclic":
-        return CyclicQuotient(
-            Chain(_field(doc, "n"), _field(doc, "q")),
-            _field(doc, "d1"),
-            _field(doc, "d2"),
-        )
+        n, q, d1, d2 = as_object(doc, "singularity", "n", "q", "d1", "d2")
+        return CyclicQuotient(Chain(n, q), d1, d2)
     if kind == "star":
-        return StarQuotient(_field(doc, "b"), _list_field(doc, "arms"))
+        b, arms = as_object(doc, "singularity", "b", "arms")
+        return StarQuotient(b, as_list(arms, "field 'arms'"))
     if kind == "germ_mu_tau":
-        return ReducedGerm(_field(doc, "mu"), _field(doc, "tau"))
+        return ReducedGerm(*as_object(doc, "singularity", "mu", "tau"))
     raise ValueError(f"unknown singularity type: {kind!r}")
-
-
-def _field(doc, name):
-    if name not in doc:
-        raise ValueError(f"missing field {name!r} in singularity object")
-    return doc[name]
-
-
-def _list_field(doc, name):
-    value = _field(doc, name)
-    if not isinstance(value, list):
-        raise ValueError(f"field {name!r} must be a list, got {type(value).__name__}")
-    return value
 
 
 def singularity_to_dict(s: Ordinary | CyclicQuotient | StarQuotient | ReducedGerm) -> dict:

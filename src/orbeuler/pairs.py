@@ -35,12 +35,13 @@ projective plane (intersection numbers from degrees, effectivity decided by
 total degree) and a generic mode with user-supplied pairings and a
 user-asserted effectivity flag.
 
-A pair is refused (``ValueError``) only when it is built: each record checks
-its own fields, and :class:`PairDescription` the rules that tie them
-together.  Generic pairings must be complete and symmetric, and a point on
-no component, which removes nothing from any curve, must carry no boundary
-weight and have m_P = 0.  Assembly and ``(K_X + D)^2`` only compute, so a
-built pair fails a certificate only where the evaluator refuses a germ.
+A pair is refused (``ValueError``) only when it is built: each record reads
+its own fields with the readers of :mod:`orbeuler.rationals`, and
+:class:`PairDescription` checks the rules that tie them together.  Generic
+pairings must be complete and symmetric, and a point on no component, which
+removes nothing from any curve, must carry no boundary weight and have
+m_P = 0.  Assembly and ``(K_X + D)^2`` only compute, so a built pair fails a
+certificate only where the evaluator refuses a germ.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ from .local import (
     singularity_from_dict,
     singularity_to_dict,
 )
-from .rationals import as_rational, format_rational, is_integer
+from .rationals import as_integer, as_list, as_object, as_rational, as_weight, format_rational
 
 __all__ = [
     "Verdict",
@@ -99,9 +100,8 @@ class SurfaceData:
     plane: bool = False
 
     def _check(e_top, c1_sq, plane):
-        for name, value in (("e_top", e_top), ("c1_sq", c1_sq)):
-            if not is_integer(value):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        as_integer(e_top, "e_top")
+        as_integer(c1_sq, "c1_sq")
         if plane and (e_top, c1_sq) != (3, 9):
             raise ValueError("plane mode fixes e_top = 3 and c1_sq = 9")
         return e_top, c1_sq, plane
@@ -134,16 +134,10 @@ class ComponentData:
     def _check(id, coeff, genus, degree, pairings):
         if not isinstance(id, str) or not id:
             raise ValueError(f"component id must be a nonempty string, got {id!r}")
-        coeff = as_rational(coeff)
-        if not 0 <= coeff.numerator <= coeff.denominator:
-            raise ValueError(
-                f"component {id}: weight {format_rational(coeff)} outside [0, 1]"
-            )
-        if not is_integer(genus) or genus < 0:
-            raise ValueError(f"component {id}: genus must be a nonnegative integer")
+        coeff = as_weight(coeff, "component {}: weight", id)
+        as_integer(genus, "component {}: genus", 0, ValueError, id)
         if degree is not None:
-            if not is_integer(degree) or degree < 1:
-                raise ValueError(f"component {id}: degree must be a positive integer")
+            as_integer(degree, "component {}: degree", 1, ValueError, id)
         if pairings is not None:
             if not isinstance(pairings, Mapping):
                 raise ValueError(f"component {id}: pairings must be an object")
@@ -153,10 +147,7 @@ class ComponentData:
                     raise ValueError(
                         f"component {id}: pairing key {key!r} is not a nonempty string"
                     )
-                if not is_integer(value):
-                    raise ValueError(
-                        f"component {id}: pairing {key!r} must be an integer, got {value!r}"
-                    )
+                as_integer(value, "component {}: pairing {!r}", None, ValueError, id, key)
         return id, coeff, genus, degree, pairings
 
 
@@ -196,8 +187,7 @@ class SingularPointData:
                     f"point {id}: incidence {entry!r} is not a (component, branches) pair"
                 )
             component_id, branches = entry
-            if not is_integer(branches) or branches < 1:
-                raise ValueError(f"point {id}: branch count must be a positive integer")
+            as_integer(branches, "point {}: branch count", 1, ValueError, id)
             if component_id in normalized:
                 raise ValueError(f"point {id}: component {component_id!r} listed twice")
             normalized[component_id] = _incidence(component_id, branches)
@@ -476,13 +466,11 @@ def max_canonical_degree_extremal(genus: int, points) -> Fraction:
     negative for rational and elliptic curves without singular points, which
     is how such surfaces exclude them.
     """
-    if not is_integer(genus) or genus < 0:
-        raise ValueError(f"genus must be a nonnegative integer, got {genus!r}")
+    as_integer(genus, "genus", 0)
     total = Fraction(3) * (genus - 1)
     for entry in points:
         r, m = entry
-        if not is_integer(r) or r < 1:
-            raise ValueError(f"branch count must be a positive integer, got {r!r}")
+        as_integer(r, "branch count", 1)
         m = as_rational(m)
         if r > m:
             raise ValueError(
@@ -500,42 +488,25 @@ def pair_from_dict(doc) -> PairDescription:
     are ``"p/q"`` strings throughout, and a point's ``incident`` is a list of
     ``[component id, branches]`` lists.
     """
-    if not isinstance(doc, dict):
-        raise ValueError(f"expected a pair document, got {type(doc).__name__}")
-    surface_doc = doc.get("surface")
-    if not isinstance(surface_doc, dict) or "mode" not in surface_doc:
-        raise ValueError("pair document needs a 'surface' object with a 'mode'")
-    mode = surface_doc["mode"]
-    if mode not in ("plane", "generic"):
+    (surface_doc,) = as_object(doc, "pair document", "surface")
+    (mode,) = as_object(surface_doc, "surface", "mode")
+    if mode == "plane":
+        surface = SurfaceData(surface_doc.get("e_top", 3), surface_doc.get("c1_sq", 9), plane=True)
+    elif mode == "generic":
+        surface = SurfaceData(*as_object(surface_doc, "generic surface", "e_top", "c1_sq"))
+    else:
         raise ValueError(f"unknown surface mode: {mode!r}")
-    if mode == "generic":
-        for key in ("e_top", "c1_sq"):
-            if key not in surface_doc:
-                raise ValueError(f"surface.{key} is required in generic mode")
-    surface = SurfaceData(
-        surface_doc.get("e_top", 3), surface_doc.get("c1_sq", 9), plane=mode == "plane"
-    )
 
-    component_docs, point_docs = doc.get("components", []), doc.get("points", [])
-    for name, value in (("components", component_docs), ("points", point_docs)):
-        if not isinstance(value, list):
-            raise ValueError(f"pair field {name!r} must be a list, got {type(value).__name__}")
-    components = []
-    for entry in component_docs:
-        if not isinstance(entry, dict):
-            raise ValueError(f"component entry {entry!r} is not an object")
-        for key in ("id", "a", "genus"):
-            if key not in entry:
-                raise ValueError(f"component entry missing field {key!r}")
-        components.append(
-            ComponentData(
-                id=entry["id"],
-                coeff=entry["a"],
-                genus=entry["genus"],
-                degree=entry.get("degree"),
-                pairings=entry.get("pairings"),
-            )
+    component_docs = as_list(doc.get("components", []), "pair field 'components'")
+    point_docs = as_list(doc.get("points", []), "pair field 'points'")
+    components = [
+        ComponentData(
+            *as_object(entry, "component entry", "id", "a", "genus"),
+            degree=entry.get("degree"),
+            pairings=entry.get("pairings"),
         )
+        for entry in component_docs
+    ]
 
     # Each distinct local document is parsed once.  Local documents are keyed
     # by their marshal bytes.  For the JSON types (dict, list, str, int, bool,
@@ -547,12 +518,9 @@ def pair_from_dict(doc) -> PairDescription:
     germs = {}
     points = []
     for entry in point_docs:
-        if not isinstance(entry, dict):
-            raise ValueError(f"point entry {entry!r} is not an object")
-        for key in ("id", "local", "incident", "m_P"):
-            if key not in entry:
-                raise ValueError(f"point entry missing field {key!r}")
-        local_doc = entry["local"]
+        point_id, local_doc, incident, m_p = as_object(
+            entry, "point entry", "id", "local", "incident", "m_P"
+        )
         try:
             local_key = marshal_dumps(local_doc)
         except ValueError:
@@ -561,7 +529,7 @@ def pair_from_dict(doc) -> PairDescription:
             local = germs.get(local_key)
             if local is None:
                 local = germs[local_key] = singularity_from_dict(local_doc)
-        points.append(SingularPointData(entry["id"], local, entry["incident"], entry["m_P"]))
+        points.append(SingularPointData(point_id, local, incident, m_p))
 
     return PairDescription(
         surface=surface,

@@ -3,7 +3,11 @@
 Every number that enters a certificate is a :class:`fractions.Fraction`;
 floats are refused at the API boundary so rounding can never leak into a
 result.  Rational literals are ``"p/q"`` with an optional sign on ``p``, or a
-bare integer ``"p"``; a zero denominator is rejected.
+bare integer ``"p"``, in ASCII digits; a zero denominator is rejected.
+
+Every integer, weight, list and object field of the package is read by
+:func:`as_integer`, :func:`as_weight`, :func:`as_list` or :func:`as_object`;
+an integer field refuses ``bool``, ``float``, ``str`` and ``Fraction``.
 
 The continued-fraction helpers describe the exceptional chain of a cyclic
 quotient surface singularity:
@@ -43,12 +47,53 @@ class InexactError(TypeError, ValueError):
     """Not an exact rational (a float, a boolean, a non-number): invalid input and a wrong type."""
 
 
-_LITERAL = re.compile(r"[+-]?\d+(?:/\d+)?\Z")
+_LITERAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?\Z")
+_INTEGER_LITERAL = re.compile(r"[+-]?[0-9]+\Z")
+_INTEGER_KINDS = {None: "an integer", 0: "a nonnegative integer", 1: "a positive integer"}
 
 
-def is_integer(value) -> bool:
-    """Whether ``value`` is an exact integer: an ``int`` that is not a ``bool``."""
-    return isinstance(value, int) and not isinstance(value, bool)
+def as_integer(value, what, least=None, error=ValueError, *owner):
+    """``value`` if it is an exact integer, and at least ``least`` when given.
+
+    An exact integer is an ``int`` that is not a ``bool``.  Otherwise raises
+    ``error`` with "``what`` must be a positive integer, got ``value!r``" (or
+    the kind that ``least`` sets); ``what`` is formatted with ``owner`` only
+    then, so a record names itself without building a string per value.
+    """
+    if value.__class__ is int or isinstance(value, int) and value.__class__ is not bool:
+        if least is None or value >= least:
+            return value
+    kind = _INTEGER_KINDS.get(least) or f"an integer >= {least}"
+    raise error(f"{what.format(*owner)} must be {kind}, got {value!r}")
+
+
+def as_weight(value, what, *owner) -> Fraction:
+    """``value`` as an exact rational in [0, 1]; ``what`` and ``owner`` as for :func:`as_integer`."""
+    w = as_rational(value)
+    if not 0 <= w.numerator <= w.denominator:
+        raise ValueError(f"{what.format(*owner)} {format_rational(w)} outside [0, 1]")
+    return w
+
+
+def as_list(value, what) -> list:
+    """``value`` if it is a list; ``what`` names it in a refusal."""
+    if isinstance(value, list):
+        return value
+    raise ValueError(f"{what} must be a list, got {type(value).__name__}")
+
+
+def as_object(doc, what, *names) -> list:
+    """The values of the fields ``names`` of the ``dict`` ``doc``, in order;
+    ``what`` names it in a refusal.  A missing field is refused even where
+    the ``dict`` would make it up."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be an object, got {type(doc).__name__}")
+    values = []
+    for name in names:
+        if name not in doc:
+            raise ValueError(f"{what} missing field {name!r}")
+        values.append(doc[name])
+    return values
 
 
 @lru_cache(maxsize=4096)
@@ -117,8 +162,8 @@ class Chain:
     q: int
 
     def _check(n, q):
-        if not is_integer(n) or not is_integer(q):
-            raise ChainError(f"chain entries must be integers, got ({n!r}, {q!r})")
+        as_integer(n, "chain n", None, ChainError)
+        as_integer(q, "chain q", None, ChainError)
         if n < 1 or not 0 <= q < n:
             raise ChainError(f"need 0 <= q < n, got ({n}, {q})")
         if gcd(n, q) != 1:
@@ -166,8 +211,7 @@ def hj_eval(entries) -> Chain:
     """
     num, den = 1, 0
     for b in reversed(list(entries)):
-        if not is_integer(b) or b < 2:
-            raise ChainError(f"chain entries must be integers >= 2, got {b!r}")
+        as_integer(b, "chain entry", 2, ChainError)
         num, den = b * num - den, num
     g = gcd(num, den)
     return Chain(num // g, den // g)

@@ -7,7 +7,7 @@ second route, so a change to that closed form shows up as a disagreement.
 from fractions import Fraction
 
 from orbeuler._record import record
-from orbeuler.rationals import as_rational, format_rational, is_integer
+from orbeuler.rationals import as_integer, as_rational, format_rational
 
 
 @record
@@ -29,8 +29,7 @@ def cover_degree(b0, p1, p2, p3):
     if b0 <= 0:
         raise ValueError(f"b0 must be positive, got {format_rational(b0)}")
     for p in (p1, p2, p3):
-        if not is_integer(p) or p < 1:
-            raise ValueError(f"triple entries must be positive integers, got {p!r}")
+        as_integer(p, "triple entry", 1)
     excess = Fraction(1, p1) + Fraction(1, p2) + Fraction(1, p3) - 1
     if excess <= 0:
         raise ValueError(f"({p1}, {p2}, {p3}) is not a spherical triple")
@@ -51,8 +50,7 @@ def euler_ordinary3_cover_oracle(n, l1, l2, l3):
     piecewise case analysis and serves as an oracle for it.
     """
     for name, value in (("n", n), ("l1", l1), ("l2", l2), ("l3", l3)):
-        if not is_integer(value):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
+        as_integer(value, name)
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     for name, l in (("l1", l1), ("l2", l2), ("l3", l3)):
@@ -65,11 +63,7 @@ def euler_ordinary3_cover_oracle(n, l1, l2, l3):
 
 def euler_top_curve(genus, branch_counts):
     """e_top of a curve: 2 - 2g - sum (r_P - 1) over its singular points."""
-    if not is_integer(genus) or genus < 0:
-        raise ValueError(f"genus must be a nonnegative integer, got {genus!r}")
-    total = 2 - 2 * genus
+    total = 2 - 2 * as_integer(genus, "genus", 0)
     for r in branch_counts:
-        if not is_integer(r) or r < 1:
-            raise ValueError(f"branch count must be a positive integer, got {r!r}")
-        total -= r - 1
+        total -= as_integer(r, "branch count", 1) - 1
     return total

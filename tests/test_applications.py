@@ -102,7 +102,7 @@ class TestArrangements:
         with pytest.raises(InvalidArrangementError, match="^t must map r to t_r, got list$"):
             ArrangementData.from_counts(4, [1, 2])
         for key in ("x", "", "2.0"):
-            with pytest.raises(InvalidArrangementError, match=f"^t key '{key}' is not an integer point order$"):
+            with pytest.raises(InvalidArrangementError, match=f"^point order r must be an integer >= 2, got '{key}'$"):
                 ArrangementData.from_counts(4, {key: 6})
         # Only string keys are read as integers; others are checked as given.
         with pytest.raises(InvalidArrangementError, match="point order r must be an integer >= 2, got 2.0"):

@@ -297,6 +297,12 @@ class TestParsing:
         with pytest.raises(ValueError):
             CurveGerm.parse(bad)
 
+    @pytest.mark.parametrize("bad", ["x^\u0662+y^\uff13", "x^2+y^\u0663", "\u0662x^2+y^3", "x^2+1/\u0662y^3"])
+    def test_only_ascii_digits(self, bad):
+        # Exponents and coefficients are ASCII, as rational literals are.
+        with pytest.raises(ValueError, match="cannot parse monomial"):
+            CurveGerm.parse(bad)
+
     def test_cancellation_to_zero_rejected(self):
         with pytest.raises(ValueError):
             CurveGerm.parse("x^2-x^2")

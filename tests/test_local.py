@@ -594,9 +594,9 @@ class TestCoverDegree:
         [
             ((F(1, 2), 3, 3, 3), "(3, 3, 3) is not a spherical triple"),
             ((F(0), 2, 3, 5), "b0 must be positive, got 0"),
-            ((F(1, 2), 0, 3, 5), "triple entries must be positive integers, got 0"),
-            ((F(1, 2), 2, 3.0, 5), "triple entries must be positive integers, got 3.0"),
-            ((F(1, 2), 2, 3, True), "triple entries must be positive integers, got True"),
+            ((F(1, 2), 0, 3, 5), "triple entry must be a positive integer, got 0"),
+            ((F(1, 2), 2, 3.0, 5), "triple entry must be a positive integer, got 3.0"),
+            ((F(1, 2), 2, 3, True), "triple entry must be a positive integer, got True"),
         ],
     )
     def test_non_spherical_rejected(self, args, message):

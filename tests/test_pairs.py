@@ -827,16 +827,16 @@ class TestDocuments:
             ((("C", 1), ("C", 2)), "component 'C' listed twice"),
             (({"C": 1},), f"{NOT_A_LIST} got dict"),
             ((["C", 1, 2],), "incidence ['C', 1, 2] is not a (component, branches) pair"),
-            ((("C", True),), "branch count must be a positive integer"),
-            ((("C", 0),), "branch count must be a positive integer"),
-            ((("C", "1"),), "branch count must be a positive integer"),
+            ((("C", True),), "branch count must be a positive integer, got True"),
+            ((("C", 0),), "branch count must be a positive integer, got 0"),
+            ((("C", "1"),), "branch count must be a positive integer, got '1'"),
             # The first bad entry decides, and within an entry its shape
             # comes before its branch count, which comes before a repeat.
             ((("C", 1), ("C", 1), {"D": 1}), "component 'C' listed twice"),
             ((("C", 1), {"D": 1}, ("C", 1)), f"{NOT_A_LIST} got dict"),
             ((("C", 1), ("C", True, 1)),
              "incidence ('C', True, 1) is not a (component, branches) pair"),
-            ((("C", 1), ("C", False)), "branch count must be a positive integer"),
+            ((("C", 1), ("C", False)), "branch count must be a positive integer, got False"),
         ],
     )
     def test_incidences_checked_by_the_point(self, incident, message):
@@ -864,9 +864,9 @@ class TestDocuments:
     @pytest.mark.parametrize(
         "doc, message",
         [
-            ([], "expected a pair document, got list"),
+            ([], "pair document must be an object, got list"),
             ({"surface": {"mode": "weird"}}, "unknown surface mode: 'weird'"),
-            ({"surface": {"mode": "generic", "e_top": 4}}, "surface.c1_sq is required in generic mode"),
+            ({"surface": {"mode": "generic", "e_top": 4}}, "generic surface missing field 'c1_sq'"),
             ({"surface": {"mode": "plane", "e_top": 5}}, "plane mode fixes e_top = 3 and c1_sq = 9"),
             # Plane mode reads its surface numbers by the rule generic mode does.
             ({"surface": {"mode": "plane", "e_top": 3.0}}, "e_top must be an integer, got 3.0"),
@@ -900,7 +900,7 @@ class TestDocuments:
             # A dict subclass that makes up missing keys is refused the same way.
             (defaultdict(int, id="P", local={}, incident=[]), "point entry missing field 'm_P'"),
             (defaultdict(int, local={}, m_P="0"), "point entry missing field 'id'"),
-            (["P"], "point entry ['P'] is not an object"),
+            (["P"], "point entry must be an object, got list"),
         ],
     )
     def test_point_entry_fields(self, entry, message):
