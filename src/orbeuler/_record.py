@@ -19,17 +19,16 @@ from __future__ import annotations
 from operator import attrgetter
 
 
-def record(cls=None, *, kw_only=False):
+def record(cls):
     """Make ``cls`` a frozen record over its annotated fields.
 
-    The fields are a record base's, then the class's own annotations in
-    order; a field's default is the value the class body gives it, or the
-    record base's default, and ``kw_only`` makes the class's own fields
-    keyword-only.  The class is rebuilt with ``__slots__`` of its own fields,
-    so the returned class is a new object.  As with
-    ``@dataclass(frozen=True)`` it gets ``__eq__`` and ``__hash__`` over the
-    field values, equal only within one class; the ``Cls(f=v, ...)``
-    ``__repr__``; ``__match_args__`` of the positional fields; and
+    The fields are the class's annotations in order, and a field's default
+    is the value the class body gives it.  A record declares every field
+    itself, so a record base is refused with :class:`TypeError`.  The class
+    is rebuilt with ``__slots__`` of its fields, so the returned class is a
+    new object.  As with ``@dataclass(frozen=True)`` it gets ``__eq__`` and
+    ``__hash__`` over the field values, equal only within one class; the
+    ``Cls(f=v, ...)`` ``__repr__``; ``__match_args__`` of the fields; and
     ``__setattr__`` and ``__delattr__`` that raise :class:`AttributeError`.
     Its generated ``__init__`` stores each field once, and only unpickling
     writes the slots otherwise.  A class that checks its fields defines
@@ -37,29 +36,22 @@ def record(cls=None, *, kw_only=False):
     value and returns the tuple of values to store: the decorator takes it
     out of the class, and ``__init__`` calls it first.
     """
-    if cls is None:
-        return lambda cls: record(cls, kw_only=kw_only)
+    if hasattr(cls, "_fields"):
+        raise TypeError(f"{cls.__qualname__}: a record cannot derive from a record")
     namespace = dict(cls.__dict__)
     namespace.pop("__dict__", None)
     namespace.pop("__weakref__", None)
     check = namespace.pop("_check", None)
-    own = tuple(namespace.get("__annotations__", ()))
-    fields = getattr(cls, "_fields", ()) + own
-    positional = getattr(cls, "__match_args__", ()) + (() if kw_only else own)
-    keyword = [name for name in fields if name not in positional]
-    # A base's field is a slot descriptor on the class, not a default, so
-    # defaults come only from the class body and the record base's own.
-    defaults = dict(getattr(cls, "_defaults", {}))
-    defaults.update((name, namespace.pop(name)) for name in own if name in namespace)
+    fields = tuple(namespace.get("__annotations__", ()))
+    defaults = {name: namespace.pop(name) for name in fields if name in namespace}
     namespace.update(
-        __slots__=own,
+        __slots__=fields,
         __qualname__=cls.__qualname__,
         _fields=fields,
-        _defaults=defaults,
         # One field gives a bare value; eq and hash only compare it, and
         # __getstate__ wraps it so that pickle always gets a tuple.
         _values=attrgetter(*fields),
-        __match_args__=positional,
+        __match_args__=fields,
         __repr__=_repr,
         __eq__=_eq,
         __hash__=_hash,
@@ -73,10 +65,9 @@ def record(cls=None, *, kw_only=False):
     def param(name):
         return f"{name}=_defaults[{name!r}]" if name in defaults else name
 
-    params = ["self", *map(param, positional), *(["*", *map(param, keyword)] if keyword else [])]
     source = "\n".join(
         [
-            f"def __init__({', '.join(params)}):",
+            f"def __init__({', '.join(['self', *map(param, fields)])}):",
             f"    {', '.join(fields)}, = _check({', '.join(fields)})" if check else "",
             *(f"    _set_{name}(self, {name})" for name in fields),
         ]

@@ -24,18 +24,10 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from fractions import Fraction
-from math import isqrt
+from math import ceil, floor, isqrt
 
 from ._record import record
-from .rationals import (
-    _INTEGER_LITERAL,
-    Chain,
-    as_integer,
-    as_rational,
-    format_rational,
-    rat_ceil,
-    rat_floor,
-)
+from .rationals import Chain, as_integer, as_rational, format_rational, parse_integer
 
 __all__ = [
     "InvalidArrangementError",
@@ -105,7 +97,10 @@ class ArrangementData:
 
 
 def _point_order(r):
-    return int(r) if isinstance(r, str) and _INTEGER_LITERAL.match(r) else r
+    try:
+        return parse_integer(r)
+    except ValueError:
+        return r
 
 
 @record
@@ -145,8 +140,8 @@ def check_arrangement(k, t=None) -> ArrangementReport:
     data = k if isinstance(k, ArrangementData) else ArrangementData.from_counts(k, t or {})
     incidence_sum = sum(count * r for r, count in data.t)
     square_sum = sum(count * r * r for r, count in data.t)
-    incidence_bound = rat_ceil(Fraction(data.k * data.k, 3) + data.k)
-    square_bound = rat_ceil(Fraction(4 * data.k * data.k, 3))
+    incidence_bound = ceil(Fraction(data.k * data.k, 3) + data.k)
+    square_bound = ceil(Fraction(4 * data.k * data.k, 3))
     large = [r for r, count in data.t if count and 3 * r > 2 * data.k]
     if large:
         verdict, pencil = "hypothesis-not-met", min(large)
@@ -221,7 +216,7 @@ def cusp_count_bound(degree: int, alpha) -> int:
         )
     cost = 3 * (alpha + 1 - cusp_euler(alpha))
     budget = -3 * alpha * degree + (3 * alpha - alpha * alpha) * degree * degree
-    return rat_floor(budget / cost)
+    return floor(budget / cost)
 
 
 def cusp_ratio_optimize(grid_denominator: int) -> tuple[Fraction, Fraction]:

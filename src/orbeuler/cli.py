@@ -24,7 +24,7 @@ from fractions import Fraction
 # Every path formats rationals; the other modules are imported by the
 # handlers and workers that use them, so that a process loads only what its
 # subcommand runs.
-from .rationals import as_list, as_object, as_rational, format_rational as _rat
+from .rationals import as_list, as_object, as_rational, format_rational as _rat, parse_integer as _int
 
 _EXIT_BY_VERDICT = {
     "computed": 0,
@@ -124,18 +124,18 @@ def _local_inputs(args):
     if args.ordinary is not None:
         return [{"type": "ordinary", "coeffs": args.ordinary.split(",")}]
     if args.cyclic is not None:
-        n, q, d1, d2 = _flag_entries("--cyclic", "n,q,d1,d2", args.cyclic, int, int, str, str)
+        n, q, d1, d2 = _flag_entries("--cyclic", "n,q,d1,d2", args.cyclic, _int, _int, str, str)
         return [{"type": "cyclic", "n": n, "q": q, "d1": d1, "d2": d2}]
     if args.star is not None:
         shape = "b;n,q,d;n,q,d;n,q,d"
 
         def arm(text):
-            return _flag_entries("--star", shape, text, int, int, str)
+            return _flag_entries("--star", shape, text, _int, _int, str)
 
-        b, *arms = _flag_entries("--star", shape, args.star, int, arm, arm, arm, sep=";")
+        b, *arms = _flag_entries("--star", shape, args.star, _int, arm, arm, arm, sep=";")
         return [{"type": "star", "b": b, "arms": arms}]
     if args.germ_mu_tau is not None:
-        mu, tau = _flag_entries("--germ-mu-tau", "mu,tau", args.germ_mu_tau, int, int)
+        mu, tau = _flag_entries("--germ-mu-tau", "mu,tau", args.germ_mu_tau, _int, _int)
         return [{"type": "germ_mu_tau", "mu": mu, "tau": tau}]
     raise ValueError("no input: give a document or one of --ordinary/--cyclic/--star/--germ-mu-tau")
 
@@ -268,7 +268,7 @@ def _cmd_arrangement(args):
         if args.k is None or args.t is None:
             raise ValueError("give --k and --t, or a document")
         shape = "r:t_r,r:t_r,..."
-        counts = (_flag_entries("--t", shape, piece, int, int, sep=":") for piece in args.t.split(","))
+        counts = (_flag_entries("--t", shape, piece, _int, _int, sep=":") for piece in args.t.split(","))
         data = ArrangementData(args.k, tuple(counts))
     report = check_arrangement(data)
     values = {
@@ -376,14 +376,14 @@ def _build_parser() -> argparse.ArgumentParser:
     local.add_argument("--cyclic", help="n,q,d1,d2")
     local.add_argument("--star", help="b;n,q,d;n,q,d;n,q,d")
     local.add_argument("--germ-mu-tau", dest="germ_mu_tau", help="mu,tau")
-    local.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
+    local.add_argument("--jobs", type=_int, default=1, help=_JOBS_HELP)
     local.set_defaults(handler=_cmd_local)
 
     germ = subparsers.add_parser("germ", help="Milnor/Tjurina numbers of a plane germ")
     germ.add_argument("input", help="polynomial in x,y; document path; '-'; or inline JSON")
     # The default stays in germs, which parsing does not import.
-    germ.add_argument("--cap", type=int, help="truncation cap (default: orbeuler.germs.DEFAULT_CAP)")
-    germ.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
+    germ.add_argument("--cap", type=_int, help="truncation cap (default: orbeuler.germs.DEFAULT_CAP)")
+    germ.add_argument("--jobs", type=_int, default=1, help=_JOBS_HELP)
     germ.set_defaults(handler=_cmd_germ)
 
     global_ = subparsers.add_parser("global", help="global Euler number and BMY checks")
@@ -392,21 +392,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
     arrangement = subparsers.add_parser("arrangement", help="line arrangement bounds")
     arrangement.add_argument("input", nargs="?", help="document path, '-', or inline JSON")
-    arrangement.add_argument("--k", type=int, help="number of lines")
+    arrangement.add_argument("--k", type=_int, help="number of lines")
     arrangement.add_argument("--t", help="point counts, e.g. 2:3,3:4")
     arrangement.set_defaults(handler=_cmd_arrangement)
 
     cusps = subparsers.add_parser("cusps", help="cusp count bound or ratio optimization")
-    cusps.add_argument("--degree", type=int, help="curve degree")
+    cusps.add_argument("--degree", type=_int, help="curve degree")
     cusps.add_argument("--alpha", help="weight in (0, 5/6]")
     cusps.add_argument("--optimize", action="store_true", help="minimize the asymptotic ratio")
-    cusps.add_argument("--grid", type=int, default=10000, help="grid denominator (>= 48)")
+    cusps.add_argument("--grid", type=_int, default=10000, help="grid denominator (>= 48)")
     cusps.set_defaults(handler=_cmd_cusps)
 
     bound = subparsers.add_parser("bound", help="canonical degree bound")
-    bound.add_argument("--c1-sq", dest="c1_sq", type=int, required=True)
-    bound.add_argument("--c2", type=int, required=True)
-    bound.add_argument("--genus", type=int, required=True)
+    bound.add_argument("--c1-sq", dest="c1_sq", type=_int, required=True)
+    bound.add_argument("--c2", type=_int, required=True)
+    bound.add_argument("--genus", type=_int, required=True)
     bound.add_argument("--ordinary", action="store_true", help="curve has only ordinary singularities")
     bound.set_defaults(handler=_cmd_bound)
 

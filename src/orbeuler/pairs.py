@@ -110,19 +110,16 @@ class SurfaceData:
     def projective_plane(cls) -> "SurfaceData":
         return cls(3, 9, plane=True)
 
-    @classmethod
-    def generic(cls, e_top: int, c1_sq: int) -> "SurfaceData":
-        return cls(e_top, c1_sq, plane=False)
-
 
 @record
 class ComponentData:
     """One boundary component: weight, geometric genus, intersection data.
 
-    Plane mode uses ``degree``; generic mode uses ``pairings``, a mapping
-    with the key ``"K"`` for K.D_i, the component's own id for D_i^2, and
-    other component ids for D_i.D_j, so a generic pair rejects the id "K".
-    Every pairing is an integer, and a pair rejects any other key.
+    A plane pair needs ``degree`` and a generic pair ``pairings``, and each
+    refuses the other field.  ``pairings`` maps the key ``"K"`` to K.D_i, the
+    component's own id to D_i^2, and other component ids to D_i.D_j, so a
+    generic pair rejects the id "K".  Every pairing is an integer, and a
+    pair rejects any other key.
     """
 
     id: str
@@ -170,6 +167,8 @@ class SingularPointData:
     def _check(id, local, incident, multiplicity):
         if not isinstance(id, str) or not id:
             raise ValueError(f"point id must be a nonempty string, got {id!r}")
+        if not isinstance(local, (Ordinary, CyclicQuotient, StarQuotient, ReducedGerm)):
+            raise TypeError(f"point {id}: not a local singularity: {type(local).__name__}")
         if not isinstance(incident, (list, tuple)):
             raise ValueError(
                 f"point {id}: field 'incident' must be a list, "
@@ -237,10 +236,14 @@ class PairDescription:
             for component in components:
                 if component.degree is None:
                     raise ValueError(f"component {component.id}: plane mode needs a degree")
+                if component.pairings is not None:
+                    raise ValueError(f"component {component.id}: plane mode reads no pairings")
         elif "K" in known:
             raise ValueError("component id 'K' is reserved in generic mode for K.D_i")
         if effective is not None and not isinstance(effective, bool):
             raise ValueError(f"effective must be true, false or absent, got {effective!r}")
+        if surface.plane and effective is not None:
+            raise ValueError("plane mode decides effectivity by degree, so it reads no 'effective'")
         for point in points:
             if not point.incident and (point.multiplicity or any(_boundary_weights(point.local))):
                 raise ValueError(
@@ -249,6 +252,8 @@ class PairDescription:
                 )
         if not surface.plane:
             for component in components:
+                if component.degree is not None:
+                    raise ValueError(f"component {component.id}: generic mode reads no degree")
                 if "K" not in (component.pairings or ()):
                     raise ValueError(f"component {component.id}: missing pairing entry 'K'")
             # Both rules are symmetric in the two components, so the first
@@ -292,31 +297,36 @@ class IneqReport:
     notes: tuple = ()
 
 
-@record(kw_only=True)
-class BmyReport(IneqReport):
+@record
+class BmyReport:
     """The main certificate: lhs = 3 e_orb, rhs = (K+D)^2.
 
-    ``global_value`` is the assembled e_orb the left side came from; its
-    exactness kind and lc flag are the certificate's.  ``multiplicities``
-    is the multiplicity form of the same pair.
+    The first six fields are an :class:`IneqReport`'s.  ``global_value`` is
+    the assembled e_orb the left side came from; its exactness kind and lc
+    flag are the certificate's.  ``multiplicities`` is the multiplicity form
+    of the same pair.
     """
 
+    lhs: Fraction
+    rhs: Fraction
+    slack: Fraction
+    verdict: Verdict
+    equality: bool
+    notes: tuple
     global_value: GlobalEuler
     multiplicities: IneqReport
 
 
 def _boundary_weights(germ: Ordinary | CyclicQuotient | StarQuotient | ReducedGerm) -> tuple:
     """The boundary weights a germ puts at its point; a reduced germ is one
-    weight-1 curve, and a germ of no known class is left to the evaluator."""
+    weight-1 curve."""
     if isinstance(germ, Ordinary):
         return germ.coeffs
     if isinstance(germ, CyclicQuotient):
         return (germ.d1, germ.d2)
     if isinstance(germ, StarQuotient):
         return tuple(arm.d for arm in germ.arms)
-    if isinstance(germ, ReducedGerm):
-        return (Fraction(1),)
-    return ()
+    return (Fraction(1),)
 
 
 def euler_orbifold_global(pair: PairDescription) -> GlobalEuler:

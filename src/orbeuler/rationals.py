@@ -8,6 +8,7 @@ bare integer ``"p"``, in ASCII digits; a zero denominator is rejected.
 Every integer, weight, list and object field of the package is read by
 :func:`as_integer`, :func:`as_weight`, :func:`as_list` or :func:`as_object`;
 an integer field refuses ``bool``, ``float``, ``str`` and ``Fraction``.
+Integer text, a CLI flag's or an arrangement's ``t`` key, is read by :func:`parse_integer`.
 
 The continued-fraction helpers describe the exceptional chain of a cyclic
 quotient surface singularity:
@@ -33,8 +34,6 @@ __all__ = [
     "as_rational",
     "parse_rational",
     "format_rational",
-    "rat_ceil",
-    "rat_floor",
     "hj_expand",
     "hj_eval",
 ]
@@ -65,6 +64,14 @@ def as_integer(value, what, least=None, error=ValueError, *owner):
             return value
     kind = _INTEGER_KINDS.get(least) or f"an integer >= {least}"
     raise error(f"{what.format(*owner)} must be {kind}, got {value!r}")
+
+
+def parse_integer(text) -> int:
+    """The integer the ``str`` ``text`` spells in ASCII digits, with an optional
+    sign; unlike ``int``, it refuses other digits, ``_`` and padding spaces."""
+    if isinstance(text, str) and _INTEGER_LITERAL.match(text):
+        return int(text)
+    raise ValueError(f"not an integer literal: {text!r}")
 
 
 def as_weight(value, what, *owner) -> Fraction:
@@ -138,18 +145,6 @@ def as_rational(value) -> Fraction:
     raise InexactError(f"expected an exact rational, got {type(value).__name__}")
 
 
-def rat_ceil(x) -> int:
-    """Least integer >= x."""
-    x = as_rational(x)
-    return -((-x.numerator) // x.denominator)
-
-
-def rat_floor(x) -> int:
-    """Greatest integer <= x."""
-    x = as_rational(x)
-    return x.numerator // x.denominator
-
-
 @record
 class Chain:
     """Type ``<n, q>`` of an exceptional chain, in lowest terms.
@@ -169,22 +164,6 @@ class Chain:
         if gcd(n, q) != 1:
             raise ChainError(f"({n}, {q}) is not coprime")
         return n, q
-
-    @property
-    def is_empty(self) -> bool:
-        return (self.n, self.q) == (1, 0)
-
-    @property
-    def value(self) -> Fraction:
-        """The fraction n/q; undefined for the empty chain."""
-        if self.q == 0:
-            raise ChainError("the empty chain has no fraction value")
-        return Fraction(self.n, self.q)
-
-    def describe(self) -> str:
-        if self.is_empty:
-            return "empty"
-        return f"{self.n}/{self.q}"
 
 
 def hj_expand(n: int, q: int) -> list[int]:

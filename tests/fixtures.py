@@ -181,7 +181,7 @@ def four_concurrent_plus_two_pair() -> PairDescription:
 def quadric_pair() -> PairDescription:
     """P1 x P1 with a smooth (4,4)-curve at weight 1 (generic mode)."""
     return PairDescription(
-        SurfaceData.generic(e_top=4, c1_sq=8),
+        SurfaceData(e_top=4, c1_sq=8),
         (
             ComponentData(
                 id="D",
@@ -198,7 +198,7 @@ def quadric_pair() -> PairDescription:
 def quotient_point_pair() -> PairDescription:
     """A surface with one A1 point and empty boundary (not BMY-eligible)."""
     return PairDescription(
-        SurfaceData.generic(e_top=3, c1_sq=8),
+        SurfaceData(e_top=3, c1_sq=8),
         (),
         (
             SingularPointData(

@@ -124,6 +124,15 @@ class TestArrangements:
     def test_two_lines_are_a_pencil(self):
         assert check_arrangement(2, {2: 1}).verdict == "hypothesis-not-met"
 
+    def test_bounds_are_the_least_integers_above(self):
+        for k in range(2, 60):
+            report = check_arrangement(k, {2: k * (k - 1) // 2})
+            for bound, value in (
+                (report.incidence_bound, F(k * k, 3) + k),
+                (report.square_bound, F(4 * k * k, 3)),
+            ):
+                assert type(bound) is int and bound - 1 < value <= bound, k
+
 
 class TestCuspEuler:
     def test_piecewise_values(self):
@@ -167,6 +176,15 @@ class TestCuspCountBound:
             cusp_count_bound(6, F(9, 10))  # cusp not lc
         with pytest.raises(ValueError):
             cusp_count_bound(0, F(1, 2))
+
+    def test_is_the_greatest_affordable_count(self):
+        # The largest s with s cusps' cost within the degree's budget.
+        for alpha in (F(1, 2), F(2, 3), F(5, 6), F(3, 7)):
+            cost = 3 * (alpha + 1 - cusp_euler(alpha))
+            for d in (d for d in range(4, 40) if alpha * d >= 3):
+                budget = -3 * alpha * d + (3 * alpha - alpha * alpha) * d * d
+                count = cusp_count_bound(d, alpha)
+                assert type(count) is int and count * cost <= budget < (count + 1) * cost, (alpha, d)
 
     def test_monotone_in_degree(self):
         for alpha in (F(1, 2), F(2, 3), F(5, 6)):

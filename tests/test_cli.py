@@ -171,8 +171,20 @@ class TestLocal:
             ("--cyclic", "5,x,0,0", "n,q,d1,d2"),
             ("--star", "1;2,1;3,1,0;5,1,0", "b;n,q,d;n,q,d;n,q,d"),
             ("--germ-mu-tau", "3", "mu,tau"),
+            # int() reads each of these entries as an integer.
+            ("--cyclic", "\u0663,1,0,0", "n,q,d1,d2"),
+            ("--star", "1;2,1,0;3, 1,0;5,1,0", "b;n,q,d;n,q,d;n,q,d"),
+            ("--germ-mu-tau", "1_0,3", "mu,tau"),
         ],
-        ids=["cyclic-short", "cyclic-not-an-integer", "star-short-arm", "germ-mu-tau-short"],
+        ids=[
+            "cyclic-short",
+            "cyclic-not-an-integer",
+            "star-short-arm",
+            "germ-mu-tau-short",
+            "cyclic-non-ascii-digit",
+            "star-padded-entry",
+            "germ-mu-tau-underscore",
+        ],
     )
     def test_malformed_flag_is_named(self, capsys, flag, text, shape):
         code, out, err = run(capsys, "local", flag, text)
@@ -479,7 +491,7 @@ class TestGlobal:
         # outcome None: refused as input; else the exit code and verdict.
         extra = {} if effective is ABSENT else {"effective": effective}
         component = ComponentData(id="A", coeff=F(1, 2), genus=0, pairings={"K": -2, "A": 0})
-        parts = (SurfaceData.generic(4, 8), (component,), ())
+        parts = (SurfaceData(4, 8), (component,), ())
         doc = {
             "surface": {"mode": "generic", "e_top": 4, "c1_sq": 8},
             "components": [{"id": "A", "a": "1/2", "genus": 0, "pairings": {"K": -2, "A": 0}}],
@@ -649,8 +661,10 @@ class TestArrangement:
             (('{"k": 4, "t": {"x": 6}}',), "point order r must be an integer >= 2, got 'x'"),
             (("--k", "4", "--t", "2"), "--t needs r:t_r,r:t_r,..., got '2'"),
             (("--k", "4", "--t", "2:x"), "--t needs r:t_r,r:t_r,..., got '2:x'"),
+            # int() reads the count as 3, and k = 3 with t_2 = 3 holds.
+            (("--k", "3", "--t", "2:\u0663"), "--t needs r:t_r,r:t_r,..., got '2:\u0663'"),
         ],
-        ids=["document-key", "flag-without-count", "flag-count"],
+        ids=["document-key", "flag-without-count", "flag-count", "flag-count-non-ascii"],
     )
     def test_malformed_count_is_named(self, capsys, argv, message):
         code, out, err = run(capsys, "arrangement", *argv)
@@ -821,11 +835,16 @@ OFF_D = {"id": "R", "local": {"type": "ordinary", "coeffs": ["1/2"]}, "incident"
                 "global",
                 global_doc(
                     {"mode": "generic", "e_top": 4, "c1_sq": 8},
-                    [{**QUARTIC, "pairings": {"K": -4, "C": 2}}, {"id": "E", "a": "1", "genus": 0,
-                                                                   "pairings": {"K": -2, "E": 0}}],
+                    [{"id": "C", "a": "1", "genus": 2, "pairings": {"K": -4, "C": 2}},
+                     {"id": "E", "a": "1", "genus": 0, "pairings": {"K": -2, "E": 0}}],
                 ),
             ),
             "missing pairing entry between C and E",
+        ),
+        # Plane mode reads degrees, so pairings would only ever be ignored.
+        (
+            ("global", global_doc(PLANE, [{**QUARTIC, "pairings": {"K": 999, "C": 5}}])),
+            "component C: plane mode reads no pairings",
         ),
         # The germ at P is refused at evaluation, but R is refused when the
         # pair is built, wherever it stands.
@@ -922,6 +941,31 @@ def test_document_not_an_object_is_exit_2(capsys, monkeypatch, command, doc, kin
     monkeypatch.setattr("sys.stdin", io.StringIO(doc))
     code, out, err = run(capsys, command, "-")
     assert (code, out, err) == (2, "", f"error: {command} document must be an object, got {kind}\n")
+
+
+@pytest.mark.parametrize("text", ["\u0663\u0660", "3_0", " 30", "30 "])
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("local", "--ordinary", "1/2", "--jobs", "{}"), "--jobs"),
+        (("germ", "x^2+y^3", "--cap", "{}"), "--cap"),
+        (("germ", "x^2+y^3", "--jobs", "{}"), "--jobs"),
+        (("arrangement", "--k", "{}", "--t", "2:435"), "--k"),
+        (("cusps", "--degree", "{}", "--alpha", "1/2"), "--degree"),
+        (("cusps", "--optimize", "--grid", "{}"), "--grid"),
+        (("bound", "--c1-sq", "{}", "--c2", "10", "--genus", "3"), "--c1-sq"),
+        (("bound", "--c1-sq", "9", "--c2", "{}", "--genus", "3"), "--c2"),
+        (("bound", "--c1-sq", "9", "--c2", "3", "--genus", "{}"), "--genus"),
+    ],
+)
+def test_integer_option_takes_ascii_digits_only(capsys, argv, flag, text):
+    # int() reads each text as 30, which every one of these commands accepts
+    # or refuses by its value.
+    with pytest.raises(SystemExit) as stop:
+        main([arg.format(text) for arg in argv])
+    out, err = capsys.readouterr()
+    assert (stop.value.code, out) == (2, "")
+    assert f"argument {flag}: invalid" in err
 
 
 def test_verdict_exit_map_is_total():

@@ -57,7 +57,7 @@ def test_submodule_resolves(module):
 
 def test_star_import_binds_every_public_name_and_module():
     names = [name for module in MODULES for name in importlib.import_module(f"orbeuler.{module}").__all__]
-    assert len(names) == len(set(names)) == 60
+    assert len(names) == len(set(names)) == 58
     namespace = {}
     exec("from orbeuler import *", namespace)
     del namespace["__builtins__"]

@@ -157,9 +157,7 @@ def pair_descriptions(draw):
             id=cid,
             coeff=draw(weights),
             genus=draw(st.integers(min_value=0, max_value=10)),
-            degree=draw(st.integers(min_value=1, max_value=12))
-            if plane or draw(st.booleans())
-            else None,
+            degree=draw(st.integers(min_value=1, max_value=12)) if plane else None,
             pairings=None if plane else tables[cid],
         )
         for cid in component_ids
@@ -190,7 +188,7 @@ def pair_descriptions(draw):
         draw(surfaces(plane)),
         tuple(components),
         tuple(points),
-        draw(st.sampled_from([None, True, False])),
+        None if plane else draw(st.sampled_from([None, True, False])),
     )
 
 
@@ -198,7 +196,7 @@ def surfaces(plane):
     if plane:
         return st.just(SurfaceData.projective_plane())
     pair_numbers = st.integers(min_value=-20, max_value=40)
-    return st.builds(SurfaceData.generic, pair_numbers, pair_numbers)
+    return st.builds(SurfaceData, pair_numbers, pair_numbers)
 
 
 @st.composite
@@ -237,9 +235,9 @@ def certifiable_pairs(draw):
         )
         for pid in draw(names)
     )
-    return PairDescription(
-        draw(surfaces(plane)), components, points, draw(st.sampled_from([None, True, False]))
-    )
+    # Plane mode decides effectivity by degree, so only a generic pair asserts it.
+    effective = None if plane else draw(st.sampled_from([None, True, False]))
+    return PairDescription(draw(surfaces(plane)), components, points, effective)
 
 
 def paper_formula(pair):
@@ -337,7 +335,7 @@ class TestGlobalAssembly:
     def test_empty_boundary_is_e_top(self):
         plane = PairDescription(SurfaceData.projective_plane(), (), ())
         assert euler_orbifold_global(plane).value == 3
-        quadric = PairDescription(SurfaceData.generic(4, 8), (), (), effective=True)
+        quadric = PairDescription(SurfaceData(4, 8), (), (), effective=True)
         assert euler_orbifold_global(quadric).value == 4
 
     def test_smooth_quartic(self):
@@ -521,13 +519,13 @@ class TestKdSquared:
             for cid, table in zip("AB", pairings)
         )
         with pytest.raises(ValueError) as caught:
-            PairDescription(SurfaceData.generic(4, 8), components, (), effective=True)
+            PairDescription(SurfaceData(4, 8), components, (), effective=True)
         assert str(caught.value) == message
 
     def test_pairing_on_one_side_suffices(self):
         def two_curves(first):
             return PairDescription(
-                SurfaceData.generic(4, 8),
+                SurfaceData(4, 8),
                 (
                     ComponentData(id="A", coeff=F(1, 2), genus=0, pairings=first),
                     ComponentData(id="B", coeff=F(1, 3), genus=0, pairings={"K": -3, "B": 1, "A": 2}),
@@ -542,16 +540,16 @@ class TestKdSquared:
         assert pair_kd_squared(two_curves({"K": -2, "A": 0, "B": 2})) == expected
 
     def test_component_id_k_reserved_in_generic_mode(self):
-        def one_curve(surface, name):
-            pairings = {"K": -2, name: 0}
-            component = ComponentData(id=name, coeff=F(1), genus=0, pairings=pairings, degree=1)
-            return PairDescription(surface, (component,), (), effective=True)
+        def one_curve(name):
+            component = ComponentData(id=name, coeff=F(1), genus=0, pairings={"K": -2, name: 0})
+            return PairDescription(SurfaceData(4, 8), (component,), (), effective=True)
 
-        assert pair_kd_squared(one_curve(SurfaceData.generic(4, 8), "A")) == 4
+        assert pair_kd_squared(one_curve("A")) == 4
         with pytest.raises(ValueError, match="reserved"):
-            one_curve(SurfaceData.generic(4, 8), "K")
+            one_curve("K")
         # Plane mode reads degrees, not pairings, so "K" is an ordinary id there.
-        assert pair_kd_squared(one_curve(SurfaceData.projective_plane(), "K")) == 4
+        line = ComponentData(id="K", coeff=F(1), genus=0, degree=1)
+        assert pair_kd_squared(PairDescription(SurfaceData.projective_plane(), (line,), ())) == 4
 
     @pytest.mark.parametrize(
         "pairings, key",
@@ -569,7 +567,7 @@ class TestKdSquared:
             ComponentData(id="A", coeff=F(1, 2), genus=0, pairings=pairings)
 
     def test_unknown_pairing_key_rejected(self):
-        for surface in (SurfaceData.generic(4, 8), SurfaceData.projective_plane()):
+        for surface in (SurfaceData(4, 8), SurfaceData.projective_plane()):
             component = ComponentData(
                 id="A", coeff=F(1), genus=0, degree=1, pairings={"K": -2, "A": 0, "B": 1}
             )
@@ -846,6 +844,11 @@ class TestDocuments:
             SingularPointData("P", Ordinary((F(1),)), incident, F(1))
         assert str(caught.value) == f"point P: {message}"
 
+    def test_a_point_carries_a_germ(self):
+        # Refused when the point is built, not when check_bmy evaluates it.
+        with pytest.raises(TypeError, match="^point P: not a local singularity: int$"):
+            SingularPointData("P", 42, (), 0)
+
     @pytest.mark.parametrize("field", ["components", "points"])
     def test_duplicate_ids_rejected(self, field):
         pair = quadrilateral_pair()
@@ -882,6 +885,35 @@ class TestDocuments:
                     ],
                 },
                 "point P: multiplicity must be nonnegative",
+            ),
+            # A field the surface mode never reads is refused, not ignored.
+            (
+                {
+                    "surface": {"mode": "plane"},
+                    "components": [{"id": "C", "a": "1", "genus": 2, "degree": 4,
+                                    "pairings": {"K": 999, "C": 5}}],
+                },
+                "component C: plane mode reads no pairings",
+            ),
+            *(
+                (
+                    {
+                        "surface": {"mode": "plane"},
+                        "components": [{"id": "C", "a": "1", "genus": 2, "degree": 4}],
+                        "effective": effective,
+                    },
+                    "plane mode decides effectivity by degree, so it reads no 'effective'",
+                )
+                for effective in (True, False)
+            ),
+            (
+                {
+                    "surface": {"mode": "generic", "e_top": 4, "c1_sq": 8},
+                    "components": [{"id": "E", "a": "1", "genus": 0, "degree": 7,
+                                    "pairings": {"K": -2, "E": 0}}],
+                    "effective": True,
+                },
+                "component E: generic mode reads no degree",
             ),
         ],
     )

@@ -15,9 +15,8 @@ from orbeuler import (
     hj_eval,
     hj_expand,
     parse_rational,
-    rat_ceil,
-    rat_floor,
 )
+from orbeuler.rationals import parse_integer
 
 
 class Text(str):
@@ -138,39 +137,25 @@ class TestParsing:
             assert parse_rational(format_rational(x)) == x
 
 
-class TestCeilFloor:
-    def test_ceil_examples(self):
-        assert rat_ceil(F(28, 3)) == 10
-        assert rat_ceil(F(-3, 2)) == -1
-        assert rat_ceil(F(4, 1)) == 4
+class TestIntegerLiteral:
+    @pytest.mark.parametrize("text, value", [("0", 0), ("42", 42), ("-7", -7), ("+3", 3), ("007", 7)])
+    def test_ascii_literals(self, text, value):
+        assert parse_integer(text) == value
 
-    def test_floor(self):
-        assert rat_floor(F(28, 3)) == 9
-        assert rat_floor(F(-3, 2)) == -2
-        assert rat_floor(F(4)) == 4
-
-    @given(st.fractions(max_denominator=1000))
-    def test_ceil_floor_sandwich(self, x):
-        assert rat_floor(x) <= x <= rat_ceil(x)
-        assert rat_ceil(x) - rat_floor(x) in (0, 1)
+    # int() reads the first six, which are not ASCII integer literals.
+    @pytest.mark.parametrize("bad", ["\u0663", "\u0663\u0660", "1_000", " 3", "3 ", "3\n", "", "+", "3.0", 3, None])
+    def test_other_text_is_refused(self, bad):
+        with pytest.raises(ValueError, match="^not an integer literal: "):
+            parse_integer(bad)
 
 
 class TestChain:
-    def test_empty(self):
-        assert Chain(1, 0).is_empty
-        assert Chain(1, 0).describe() == "empty"
-        with pytest.raises(ChainError):
-            Chain(1, 0).value
-
     @pytest.mark.parametrize(
         "n,q", [(1, 1), (2, 2), (4, 2), (3, -1), (0, 0), (3, 5), (True, 0), (2, True)]
     )
     def test_invalid_descriptors(self, n, q):
         with pytest.raises(ChainError):
             Chain(n, q)
-
-    def test_value(self):
-        assert Chain(5, 2).value == F(5, 2)
 
 
 class TestExpansion:
