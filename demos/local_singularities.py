@@ -31,6 +31,7 @@ for n, q, d1, d2 in ((3, 1, "0", "0"), (4, 3, "1/2", "0"), (1, 0, "1/2", "1/3"))
 print("\n== Star-shaped quotients: the ADE family at zero boundary ==")
 ade = {
     "D4": (2, ((2, 1, 0), (2, 1, 0), (2, 1, 0))),
+    "D5": (2, ((2, 1, 0), (2, 1, 0), (3, 2, 0))),
     "E6": (2, ((2, 1, 0), (3, 2, 0), (3, 2, 0))),
     "E7": (2, ((2, 1, 0), (3, 2, 0), (4, 3, 0))),
     "E8": (2, ((2, 1, 0), (3, 2, 0), (5, 4, 0))),

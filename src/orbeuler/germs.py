@@ -132,22 +132,6 @@ class CurveGerm:
     def coefficients(self) -> dict:
         return {(i, j): c for i, j, c in self.terms}
 
-    def __str__(self):
-        parts = []
-        for i, j, c in self.terms:
-            mono = "".join(
-                (f"x^{i}" if i > 1 else "x" if i == 1 else "",
-                 f"y^{j}" if j > 1 else "y" if j == 1 else "")
-            )
-            if c == 1 and mono:
-                parts.append(mono)
-            elif c == -1 and mono:
-                parts.append(f"-{mono}")
-            else:
-                parts.append(format_rational(c) + mono)
-        out = " + ".join(parts)
-        return out.replace("+ -", "- ")
-
 
 @record
 class GermInvariants:

@@ -246,17 +246,19 @@ class StarValidation:
     multipliers: tuple[int, int, int]
 
 
-_EXCEPTIONAL_TRIPLES = ((2, 3, 3), (2, 3, 4), (2, 3, 5))
-
-
 def validate_star(b, arms) -> StarValidation:
-    """Find multipliers m_i >= 1 with (n_1 m_1, n_2 m_2, n_3 m_3) polyhedral.
+    """A star's invariants and its least polyhedral assignment.
 
-    Polyhedral triples are (2, 2, n), (2, 3, 3), (2, 3, 4) and (2, 3, 5).
-    The exceptional triples are searched in ascending lexicographic order of
-    the multipliers; the dihedral family is then decided by divisibility.
-    Raises :class:`NotQuotientError` when b0 <= 0 or no assignment exists;
-    the Euler value itself never depends on the assignment found.
+    The assignment is the least multipliers m_i >= 1 that make the triple
+    (n_1 m_1, n_2 m_2, n_3 m_3) polyhedral: entries at least 2 whose
+    reciprocals sum to more than 1, that is (2, 2, n), (2, 3, 3), (2, 3, 4)
+    or (2, 3, 5).  m_i is 2 on an empty arm (n_i = 1) and 1 otherwise;
+    larger multipliers only shrink the sum, so some assignment exists
+    exactly when this one does.  With b0 > 0 that decides whether the star
+    is a quotient singularity (Brieskorn, *Rationale Singularitäten
+    komplexer Flächen*, 1968); when every n_i >= 2 the triple is the
+    branching type of the group.  Raises :class:`NotQuotientError` when
+    b0 <= 0, and then when the triple is not polyhedral.
     """
     star = StarQuotient(b, tuple(arms))
     b0_num, b0_den, shares, den, triple, multipliers = _star_numbers(star)
@@ -290,8 +292,8 @@ def _star_shape(b: int, ns: tuple, qs: tuple) -> tuple:
     For central weight b and arm chains <ns[i], qs[i]>, returns
     ``(b0_num, b0_den, triple, multipliers)``, b0 being ``b0_num / b0_den``
     over b0_den = lcm n_i; remembered for the last 4096 shapes.  Raises
-    :class:`NotQuotientError` when b0 <= 0, and then when no assignment
-    exists; a refused shape is not remembered.
+    :class:`NotQuotientError` when b0 <= 0, and then when the triple is not
+    polyhedral; a refused shape is not remembered.
     """
     b0_den = lcm(*ns)
     b0_num = b * b0_den - sum(q * (b0_den // n) for n, q in zip(ns, qs))
@@ -304,22 +306,11 @@ def _star_shape(b: int, ns: tuple, qs: tuple) -> tuple:
 
 def _polyhedral_assignment(ns: tuple) -> tuple:
     """The triple and multipliers of :func:`validate_star` for arm orders ``ns``."""
-    for m1 in range(1, 5 // ns[0] + 1):
-        for m2 in range(1, 5 // ns[1] + 1):
-            for m3 in range(1, 5 // ns[2] + 1):
-                triple = tuple(sorted((ns[0] * m1, ns[1] * m2, ns[2] * m3)))
-                if triple in _EXCEPTIONAL_TRIPLES:
-                    return triple, (m1, m2, m3)
-    for i, j in ((0, 1), (0, 2), (1, 2)):
-        if ns[i] <= 2 and ns[j] <= 2:
-            k = 3 - i - j
-            multipliers = [0, 0, 0]
-            multipliers[i] = 2 // ns[i]
-            multipliers[j] = 2 // ns[j]
-            multipliers[k] = 1 if ns[k] >= 2 else 2
-            triple = tuple(sorted((2, 2, ns[k] * multipliers[k])))
-            return triple, tuple(multipliers)
-    raise NotQuotientError(f"no polyhedral assignment for arm orders {ns}")
+    multipliers = tuple(2 if n == 1 else 1 for n in ns)
+    t1, t2, t3 = triple = tuple(sorted(n * m for n, m in zip(ns, multipliers)))
+    if t1 * t2 + t1 * t3 + t2 * t3 <= t1 * t2 * t3:
+        raise NotQuotientError(f"no polyhedral assignment for arm orders {ns}")
+    return triple, multipliers
 
 
 def euler_local(s: Ordinary | CyclicQuotient | StarQuotient | ReducedGerm) -> EulerValue:

@@ -7,7 +7,7 @@ second route, so a change to that closed form shows up as a disagreement.
 from fractions import Fraction
 
 from orbeuler._record import record
-from orbeuler.rationals import as_integer, as_rational, format_rational
+from orbeuler.rationals import as_integer, as_rational, format_rational, hj_expand
 
 
 @record
@@ -35,6 +35,42 @@ def cover_degree(b0, p1, p2, p3):
         raise ValueError(f"({p1}, {p2}, {p3}) is not a spherical triple")
     s = 1 / excess
     return CoverDegree(s, 4 * s * s * b0, (p1, p2, p3))
+
+
+def star_determinant(b, arms):
+    """det(-M) of a star's resolution graph, by fraction-free elimination.
+
+    M is the intersection matrix: the central curve has self-intersection -b,
+    and each arm (n, q) is a chain of curves with self-intersections
+    ``-hj_expand(n, q)``, the first entry next to the central curve (read
+    the other way round the determinant is wrong).  Equal to
+    ``(b - sum q_i/n_i) n_1 n_2 n_3``.  The arm curves come first and the
+    central curve last, so every leading minor but the whole is a product of
+    chain determinants, which are positive: Bareiss elimination needs no
+    pivoting, and each of its divisions is exact.
+    """
+    entries, edges = [], []
+    for n, q in arms:
+        chain = hj_expand(n, q)
+        edges += [(i, i + 1) for i in range(len(entries), len(entries) + len(chain) - 1)]
+        if chain:
+            edges.append((len(entries), None))
+        entries += chain
+    entries.append(b)
+    size = len(entries)
+    matrix = [[0] * size for _ in range(size)]
+    for i, entry in enumerate(entries):
+        matrix[i][i] = entry
+    for i, j in edges:
+        j = size - 1 if j is None else j
+        matrix[i][j] = matrix[j][i] = -1
+    previous = 1
+    for k in range(size - 1):
+        for i in range(k + 1, size):
+            for j in range(k + 1, size):
+                matrix[i][j] = (matrix[i][j] * matrix[k][k] - matrix[i][k] * matrix[k][j]) // previous
+        previous = matrix[k][k]
+    return matrix[-1][-1]
 
 
 def euler_ordinary3_cover_oracle(n, l1, l2, l3):

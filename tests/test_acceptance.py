@@ -83,7 +83,8 @@ def test_criterion_03_quotient_reciprocals():
         for name, (b, arms, triple, value) in ADE_STARS.items():
             star_value = euler_local(StarQuotient(b, arms))
             validation = validate_star(b, arms)
-            degree = cover_degree(validation.invariants.b0, *triple).degree
+            assert validation.triple == triple, name
+            degree = cover_degree(validation.invariants.b0, *validation.triple).degree
             assert star_value.value == expected[name] == 1 / degree, name
 
 

@@ -1,9 +1,9 @@
 from fractions import Fraction as F
 from itertools import product
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from orbeuler import (
@@ -27,7 +27,7 @@ from orbeuler import (
     validate_star,
 )
 
-from oracles import cover_degree, euler_ordinary3_cover_oracle
+from oracles import cover_degree, euler_ordinary3_cover_oracle, star_determinant
 
 weights = st.fractions(min_value=0, max_value=1, max_denominator=24)
 
@@ -69,32 +69,24 @@ def ordinary_oracle(coeffs):
     return (1 - a / 2) ** 2, Exactness.UPPER_BOUND, True
 
 
-_EXCEPTIONAL_TRIPLES = ((2, 3, 3), (2, 3, 4), (2, 3, 5))
-
-
 def star_validation_oracle(star):
+    """The least polyhedral assignment, found among all multipliers in [1..6]^3."""
     b0 = star.b - sum(F(arm.q, arm.n) for arm in star.arms)
     if b0 <= 0:
         raise NotQuotientError(f"b0 = {format_rational(b0)} <= 0: the central curve does not contract")
     shares = [(1 - arm.d) / arm.n for arm in star.arms]
     invariants = StarInvariants(b0, sum(shares), min(shares))
     ns = tuple(arm.n for arm in star.arms)
-    for m1 in range(1, 5 // ns[0] + 1):
-        for m2 in range(1, 5 // ns[1] + 1):
-            for m3 in range(1, 5 // ns[2] + 1):
-                triple = tuple(sorted((ns[0] * m1, ns[1] * m2, ns[2] * m3)))
-                if triple in _EXCEPTIONAL_TRIPLES:
-                    return StarValidation(invariants, triple, (m1, m2, m3))
-    for i, j in ((0, 1), (0, 2), (1, 2)):
-        if ns[i] <= 2 and ns[j] <= 2:
-            k = 3 - i - j
-            multipliers = [0, 0, 0]
-            multipliers[i] = 2 // ns[i]
-            multipliers[j] = 2 // ns[j]
-            multipliers[k] = 1 if ns[k] >= 2 else 2
-            triple = tuple(sorted((2, 2, ns[k] * multipliers[k])))
-            return StarValidation(invariants, triple, tuple(multipliers))
-    raise NotQuotientError(f"no polyhedral assignment for arm orders {ns}")
+    kept = [
+        ms
+        for ms in product(range(1, 7), repeat=3)
+        if min(n * m for n, m in zip(ns, ms)) >= 2 and sum(F(1, n * m) for n, m in zip(ns, ms)) > 1
+    ]
+    if not kept:
+        raise NotQuotientError(f"no polyhedral assignment for arm orders {ns}")
+    least = tuple(map(min, zip(*kept)))
+    assert least in kept, (ns, kept)
+    return StarValidation(invariants, tuple(sorted(n * m for n, m in zip(ns, least))), least)
 
 
 def star_oracle(star):
@@ -149,6 +141,14 @@ def any_stars(draw):
     )
     least_b = int(sum(F(q, n) for n, q, _ in arms)) + 1
     return star(draw(st.integers(max(least_b - 1, 1), least_b + 2)), arms)
+
+
+# Stars with every arm order at least 2 and every weight 0.
+zero_weight_stars = (
+    any_stars()
+    .filter(lambda germ: min(arm.n for arm in germ.arms) >= 2)
+    .map(lambda germ: star(germ.b, [(arm.n, arm.q, 0) for arm in germ.arms]))
+)
 
 
 # k weights of at most 5/(2k) keep the sum a near 2, where the ordinary formulas switch.
@@ -252,6 +252,7 @@ class TestIntegerEvaluationOracle:
         germ = star(2, ((2, 1, 0), (2, 1, 0), (n, n - 1, 0)))
         validation = validate_star(germ.b, germ.arms)
         assert validation.invariants == StarInvariants(F(1, n), 1 + F(1, n), F(1, n))
+        assert (validation.triple, validation.multipliers) == ((2, 2, n), (1, 1, 1))
         assert validation == star_validation_oracle(germ)
         assert euler_local(germ) == EulerValue(F(1, 4 * n), Exactness.EXACT, True)
         self.assert_matches(germ)
@@ -525,11 +526,11 @@ class TestStars:
         assert validation.triple == (2, 3, 5)
         assert validation.multipliers == (1, 1, 1)
 
-    def test_cusp_star_assignment_prefers_exceptional(self):
+    def test_cusp_star_assignment_is_the_least(self):
         validation = validate_star(1, cusp(F(0)).arms)
         assert validation.invariants.b0 == F(1, 6)
-        assert validation.triple == (2, 3, 3)
-        assert validation.multipliers == (1, 1, 3)
+        assert validation.triple == (2, 2, 3)
+        assert validation.multipliers == (1, 1, 2)
 
     def test_not_quotient(self):
         with pytest.raises(NotQuotientError):
@@ -546,6 +547,28 @@ class TestStars:
             value = euler_local(star(b, arms))
             record = cover_degree(validation.invariants.b0, *triple)
             assert value.value == expected == 1 / record.degree, name
+
+    @example(star(2, ((2, 1, 0), (2, 1, 0), (3, 2, 0))))  # D5
+    @given(zero_weight_stars)
+    def test_triple_gives_the_group_order(self, germ):
+        # With zero weights the value is 1/|G|, and the cover oracle reads |G|
+        # off b0 and the triple.
+        try:
+            validation = validate_star(germ.b, germ.arms)
+        except NotQuotientError:
+            assume(False)
+        assert cover_degree(validation.invariants.b0, *validation.triple).degree == 1 / euler_local(germ).value
+
+    @given(any_stars())
+    def test_determinant_is_b0_times_the_arm_orders(self, germ):
+        order = prod(arm.n for arm in germ.arms)
+        det = star_determinant(germ.b, [(arm.n, arm.q) for arm in germ.arms])
+        assert det == (germ.b - sum(F(arm.q, arm.n) for arm in germ.arms)) * order
+        try:
+            validation = validate_star(germ.b, germ.arms)
+        except NotQuotientError:
+            return
+        assert det == validation.invariants.b0 * order
 
     def test_cusp_values(self):
         assert euler_local(cusp(F(1, 2))).value == F(1, 6)
