@@ -61,15 +61,15 @@ def _decimal(x) -> str:
     return f"{approx:.7g}"
 
 
-def _load_document(source: str):
+def _load_document(source: str, object_hook=None):
     s = source.strip()
     try:
         if s == "-":
-            return json.load(sys.stdin)
+            return json.load(sys.stdin, object_hook=object_hook)
         if s.startswith("{") or s.startswith("["):
-            return json.loads(s)
+            return json.loads(s, object_hook=object_hook)
         with open(source, encoding="utf-8") as handle:
-            return json.load(handle)
+            return json.load(handle, object_hook=object_hook)
     except RecursionError:
         # json decodes nested arrays and objects recursively.
         raise ValueError("document nested too deeply") from None
@@ -215,9 +215,9 @@ def _cmd_germ(args):
 
 
 def _cmd_global(args):
-    from .pairs import check_bmy, pair_from_dict
+    from .pairs import check_bmy, pair_from_dict, point_hook
 
-    pair = pair_from_dict(_load_document(args.input))
+    pair = pair_from_dict(_load_document(args.input, point_hook()))
     bmy = check_bmy(pair)
     multiplicities = bmy.multiplicities
     global_value = bmy.global_value

@@ -37,7 +37,11 @@ user-asserted effectivity flag.
 
 A pair is refused (``ValueError``) only when it is built: each record reads
 its own fields with the readers of :mod:`orbeuler.rationals`, and
-:class:`PairDescription` checks the rules that tie them together.  Generic
+:class:`PairDescription` checks the rules that tie them together.  A pair
+document is mostly its point list, so the CLI builds each point while the
+document is decoded (:func:`point_hook`) and holds no JSON tree of the
+points; a point entry refused there is refused by :func:`pair_from_dict`,
+so refusals keep their order: surface, components, then points.  Generic
 pairings must be complete and symmetric, and a point on no component, which
 removes nothing from any curve, must carry no boundary weight and have
 m_P = 0.  Assembly and ``(K_X + D)^2`` only compute, so a built pair fails a
@@ -496,7 +500,8 @@ def pair_from_dict(doc) -> PairDescription:
     Top-level keys: ``surface`` (``mode``, plus ``e_top``/``c1_sq``: 3 and 9
     in plane mode), ``components``, ``points`` and ``effective``.  Rationals
     are ``"p/q"`` strings throughout, and a point's ``incident`` is a list of
-    ``[component id, branches]`` lists.
+    ``[component id, branches]`` lists.  An entry of ``points`` may already
+    be a :class:`SingularPointData`, as :func:`point_hook` builds it.
     """
     (surface_doc,) = as_object(doc, "pair document", "surface")
     (mode,) = as_object(surface_doc, "surface", "mode")
@@ -517,29 +522,11 @@ def pair_from_dict(doc) -> PairDescription:
         )
         for entry in component_docs
     ]
-
-    # Each distinct local document is parsed once.  Local documents are keyed
-    # by their marshal bytes.  For the JSON types (dict, list, str, int, bool,
-    # float and None) marshal records the exact type of every value, so 1,
-    # True, "1" and 1.0 all differ, and two entries share a parse only when
-    # they are the same document.  marshal refuses most of what JSON cannot
-    # hold, such as a Fraction or a str subclass; such a document is parsed
-    # for its point alone.
     germs = {}
-    points = []
-    for entry in point_docs:
-        point_id, local_doc, incident, m_p = as_object(
-            entry, "point entry", "id", "local", "incident", "m_P"
-        )
-        try:
-            local_key = marshal_dumps(local_doc)
-        except ValueError:
-            local = singularity_from_dict(local_doc)
-        else:
-            local = germs.get(local_key)
-            if local is None:
-                local = germs[local_key] = singularity_from_dict(local_doc)
-        points.append(SingularPointData(point_id, local, incident, m_p))
+    points = [
+        entry if isinstance(entry, SingularPointData) else _point(entry, germs)
+        for entry in point_docs
+    ]
 
     return PairDescription(
         surface=surface,
@@ -547,6 +534,60 @@ def pair_from_dict(doc) -> PairDescription:
         points=tuple(points),
         effective=doc.get("effective"),
     )
+
+
+_POINT_KEYS = frozenset(("id", "local", "incident", "m_P"))
+
+
+def point_hook():
+    """A ``json`` ``object_hook`` that builds each point entry of a pair
+    document while it is decoded, so that no point's dict, incidence lists
+    or strings outlive it; :func:`pair_from_dict` takes the result.
+
+    An object is a point entry when its keys are exactly those of one and its
+    ``local`` is an object.  Every other object of a valid pair document has
+    a required key outside that set (``surface``, ``mode``, ``a``, ``K`` or
+    ``type``).  An entry that is refused is returned as it is, so that
+    :func:`pair_from_dict` refuses it in document order, after the surface
+    and the components.  Each hook has its own germ cache, as each call of
+    :func:`pair_from_dict` has.
+    """
+    germs = {}
+
+    def hook(obj):
+        if obj.keys() == _POINT_KEYS and isinstance(obj["local"], dict):
+            try:
+                return _point(obj, germs)
+            except ValueError:
+                pass
+        return obj
+
+    return hook
+
+
+def _point(entry, germs: dict) -> SingularPointData:
+    """The point of a point entry.  ``germs`` maps the marshal bytes of each
+    local document already parsed to its germ, so each is parsed once.
+
+    For the JSON types
+    (dict, list, str, int, bool, float and None) marshal records the exact
+    type of every value, so 1, True, "1" and 1.0 all differ, and two entries
+    share a parse only when they are the same document.  marshal refuses most
+    of what JSON cannot hold, such as a Fraction or a str subclass; such a
+    document is parsed for its point alone.
+    """
+    point_id, local_doc, incident, m_p = as_object(
+        entry, "point entry", "id", "local", "incident", "m_P"
+    )
+    try:
+        local_key = marshal_dumps(local_doc)
+    except ValueError:
+        local = singularity_from_dict(local_doc)
+    else:
+        local = germs.get(local_key)
+        if local is None:
+            local = germs[local_key] = singularity_from_dict(local_doc)
+    return SingularPointData(point_id, local, incident, m_p)
 
 
 def pair_to_dict(pair: PairDescription) -> dict:

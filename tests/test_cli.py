@@ -6,6 +6,7 @@ import math
 import os
 import select
 import signal
+import tracemalloc
 import weakref
 from fractions import Fraction as F
 
@@ -535,6 +536,112 @@ class TestGlobal:
         doc["components"][0]["pairings"] = [["K", -16], ["D", 32]]
         code, out, err = run(capsys, "global", json.dumps(doc))
         assert (code, out, err) == (2, "", "error: component D: pairings must be an object\n")
+
+
+def run_global_three_ways(capsys, monkeypatch, tmp_path, doc):
+    """``global`` on ``doc`` read from a file, inline and from standard
+    input; the three must agree."""
+    text = json.dumps(doc)
+    path = tmp_path / "pair.json"
+    path.write_text(text, encoding="utf-8")
+    outcomes = [run(capsys, "global", str(path)), run(capsys, "global", text)]
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    outcomes.append(run(capsys, "global", "-"))
+    assert outcomes[0] == outcomes[1] == outcomes[2]
+    return outcomes[0]
+
+
+def generic_arrangement_doc(lines: int) -> dict:
+    """A plane pair of ``lines`` lines of weight 1/2 in general position:
+    one double point per pair of lines."""
+    return {
+        "surface": {"mode": "plane"},
+        "components": [{"id": f"L{i}", "a": "1/2", "genus": 0, "degree": 1} for i in range(lines)],
+        "points": [
+            {
+                "id": f"P{i}.{j}",
+                "local": {"type": "ordinary", "coeffs": ["1/2", "1/2"]},
+                "incident": [[f"L{i}", 1], [f"L{j}", 1]],
+                "m_P": "1",
+            }
+            for i in range(lines)
+            for j in range(i + 1, lines)
+        ],
+    }
+
+
+class TestPointsBuiltWhileDecoded:
+    """``global`` builds each point entry while the document is decoded; it
+    answers and refuses as pair_from_dict does on the decoded document."""
+
+    def test_surface_is_refused_before_a_bad_point(self, capsys, monkeypatch, tmp_path):
+        doc = pair_to_dict(quadrilateral_pair())
+        doc["surface"]["mode"] = "sphere"
+        doc["points"][0]["m_P"] = "-1"
+        outcome = run_global_three_ways(capsys, monkeypatch, tmp_path, doc)
+        assert outcome == (2, "", "error: unknown surface mode: 'sphere'\n")
+
+    def test_component_is_refused_before_a_bad_point(self, capsys, monkeypatch, tmp_path):
+        doc = pair_to_dict(quadrilateral_pair())
+        doc["components"][-1]["genus"] = -1
+        doc["points"][0]["m_P"] = "-1"
+        outcome = run_global_three_ways(capsys, monkeypatch, tmp_path, doc)
+        assert outcome == (2, "", "error: component L34: genus must be a nonnegative integer, got -1\n")
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("local", {"type": "ordinary", "coeffs": ["3/2", "2/3", "2/3"]}, "boundary weight 3/2 outside [0, 1]"),
+            ("local", {"type": "cyclic", "n": 3, "q": 3, "d1": "0", "d2": "0"}, "need 0 <= q < n, got (3, 3)"),
+            ("incident", [["L12", 0]], "point T1: branch count must be a positive integer, got 0"),
+            ("incident", [["L12", 1], ["L12", 1]], "point T1: component 'L12' listed twice"),
+            ("m_P", "-1", "point T1: multiplicity must be nonnegative"),
+            ("m_P", 2.0, "expected an exact rational, got float"),
+        ],
+    )
+    def test_first_bad_point_keeps_its_refusal(self, capsys, monkeypatch, tmp_path, field, value, message):
+        # The last point is refused too; the first bad point is reported.
+        doc = pair_to_dict(quadrilateral_pair())
+        doc["points"][0][field] = value
+        doc["points"][-1]["m_P"] = "x"
+        outcome = run_global_three_ways(capsys, monkeypatch, tmp_path, doc)
+        assert outcome == (2, "", f"error: {message}\n")
+
+    def test_entry_with_an_extra_key_is_read_as_before(self, capsys, monkeypatch, tmp_path):
+        doc = pair_to_dict(quadrilateral_pair())
+        expected = run_global_three_ways(capsys, monkeypatch, tmp_path, doc)
+        assert expected[0] == 0
+        for point in doc["points"][::2]:
+            point["note"] = "read by no one"
+        assert run_global_three_ways(capsys, monkeypatch, tmp_path, doc) == expected
+
+    @pytest.mark.parametrize("m_p", ["1", "-1"], ids=["valid", "refused"])
+    def test_point_under_an_ignored_key_changes_nothing(self, capsys, monkeypatch, tmp_path, m_p):
+        doc = pair_to_dict(quadrilateral_pair())
+        expected = run_global_three_ways(capsys, monkeypatch, tmp_path, doc)
+        doc["extra"] = {"id": "Z", "local": {"type": "ordinary", "coeffs": ["1/2"]}, "incident": [], "m_P": m_p}
+        assert run_global_three_ways(capsys, monkeypatch, tmp_path, doc) == expected
+
+    def test_decoding_into_points_peaks_below_the_json_tree(self, tmp_path):
+        # No RSS is read: tracemalloc counts what Python allocates.  Reading
+        # the file holds its whole text, which plain json.loads is spared.
+        text = json.dumps(generic_arrangement_doc(64))  # 2016 points
+        path = tmp_path / "pair.json"
+        path.write_text(text, encoding="utf-8")
+        tracemalloc.start()
+        try:
+            tree = json.loads(text)
+            plain_peak = tracemalloc.get_traced_memory()[1]
+            del tree
+            tracemalloc.reset_peak()
+            doc = orbeuler.cli._load_document(str(path), orbeuler.pairs.point_hook())
+            pair = orbeuler.pairs.pair_from_dict(doc)
+            built_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(type(point) is orbeuler.pairs.SingularPointData for point in doc["points"])
+        assert len(pair.points) == 2016
+        assert built_peak < plain_peak
 
 
 BIG = 10**400

@@ -728,6 +728,35 @@ class TestDocuments:
         assert len({id(point.multiplicity) for point in pair.points}) == 2
         assert pair_to_dict(pair) == doc
 
+    def test_points_built_while_decoded_share_germs(self):
+        # The hook builds every point entry, and points whose local documents
+        # are equal share one germ, as in pair_from_dict.
+        text = json.dumps(pair_to_dict(quadrilateral_pair()))
+        doc = json.loads(text, object_hook=orbeuler.pairs.point_hook())
+        assert all(type(point) is SingularPointData for point in doc["points"])
+        assert len({id(point.local) for point in doc["points"]}) == 2
+        assert pair_from_dict(doc) == pair_from_dict(json.loads(text))
+
+    def test_built_points_are_taken_as_they_are(self):
+        pair = quadrilateral_pair()
+        doc = pair_to_dict(pair)
+        doc["points"] = list(pair.points)
+        again = pair_from_dict(doc)
+        assert again == pair
+        assert all(ours is theirs for ours, theirs in zip(again.points, pair.points))
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            {"id": "P", "local": {"type": "ordinary", "coeffs": ["1/2"]}, "incident": [], "m_P": "-1"},
+            {"id": "P", "local": {"type": "ordinary", "coeffs": ["1/2"]}, "incident": [], "m_P": "0", "n": 1},
+            {"id": "P", "local": [], "incident": [], "m_P": "0"},
+        ],
+        ids=["refused", "extra-key", "local-not-an-object"],
+    )
+    def test_hook_returns_other_objects_as_they_are(self, entry):
+        assert orbeuler.pairs.point_hook()(entry) is entry
+
     def test_equal_incidences_are_one_object(self):
         doc = json.loads(json.dumps(pair_to_dict(quadrilateral_pair())))
         pair = pair_from_dict(doc)
