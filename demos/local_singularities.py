@@ -1,4 +1,4 @@
-"""Tour of the local calculus: chains, ordinary points, quotient stars.
+"""Tour of the local calculus: chains, ordinary points, stars.
 
 Every value comes from ``euler_local``, the one local evaluator.
 
@@ -28,7 +28,7 @@ print("\n== Cyclic quotients:  (1-d1)(1-d2)/n ==")
 for n, q, d1, d2 in ((3, 1, "0", "0"), (4, 3, "1/2", "0"), (1, 0, "1/2", "1/3")):
     print(f"  <{n},{q}> with d=({d1},{d2}): {euler_local(CyclicQuotient((n, q), d1, d2)).value}")
 
-print("\n== Star-shaped quotients: the ADE family at zero boundary ==")
+print("\n== Stars: the ADE family at zero boundary, b0 and alpha ==")
 ade = {
     "D4": (2, ((2, 1, 0), (2, 1, 0), (2, 1, 0))),
     "D5": (2, ((2, 1, 0), (2, 1, 0), (3, 2, 0))),
@@ -37,9 +37,13 @@ ade = {
     "E8": (2, ((2, 1, 0), (3, 2, 0), (5, 4, 0))),
 }
 for name, (b, arms) in ade.items():
-    validation = validate_star(b, arms)
+    invariants = validate_star(b, arms)
     value = euler_local(StarQuotient(b, arms))
-    print(f"  {name}: triple {validation.triple}, b0 {validation.invariants.b0}, value {value.value}")
+    print(f"  {name}: b0 {invariants.b0}, alpha {invariants.alpha}, value {value.value}")
+
+print("\n== An empty arm: the star [7, 2, 7] is the chain <84, 13> ==")
+chain_star = euler_local(StarQuotient(2, ((7, 1, 0), (7, 1, 0), (1, 0, 0))))
+print(f"  star [7, 2, 7]: {chain_star.value}   <84,13>: {euler_local(CyclicQuotient((84, 13), 0, 0)).value}")
 
 print("\n== The ordinary cusp x^2 = y^3, weight alpha ==")
 for alpha in ("0", "1/12", "1/6", "1/2", "5/6", "1"):

@@ -20,11 +20,14 @@ modelled here:
 
 ``StarQuotient``
     A star-shaped resolution: central curve of self-intersection -b with
-    three Hirzebruch-Jung arms <n_i, q_i> carrying weights d_i.  These germs
-    are quotients by polyhedral subgroups; with ``b0 = b - sum q_i/n_i``,
+    three Hirzebruch-Jung arms <n_i, q_i> carrying weights d_i (an empty
+    arm <1, 0> puts its weight on a curve through the central curve).  The
+    central curve contracts when ``b0 = b - sum q_i/n_i > 0``.  With
     ``alpha = sum (1 - d_i)/n_i`` and ``beta`` the smallest summand, the
-    value is 0 for alpha < 1, ``(alpha - 1)^2 / (4 b0)`` in the balanced
-    range, and ``(alpha - 1 - beta) beta / b0`` beyond it.
+    value is 0 for alpha < 1, which is the lc test (Kawamata 1988;
+    Kollár-Mori 1998, Thm 4.7), ``(alpha - 1)^2 / (4 b0)`` in the balanced
+    range, and ``(alpha - 1 - beta) beta / b0`` beyond it.  So a star that
+    is lc but not klt (alpha = 1), such as a Euclidean one, gets 0.
 
 ``ReducedGerm``
     A reduced plane curve germ taken with weight 1, summarised by its Milnor
@@ -70,7 +73,6 @@ __all__ = [
     "StarQuotient",
     "ReducedGerm",
     "StarInvariants",
-    "StarValidation",
     "validate_star",
     "euler_local",
     "singularity_from_dict",
@@ -79,7 +81,7 @@ __all__ = [
 
 
 class NotQuotientError(ValueError):
-    """The star input is not resolved by a finite polyhedral quotient."""
+    """The star's central curve does not contract: b0 = b - sum q_i/n_i <= 0."""
 
 
 class Exactness(Enum):
@@ -239,78 +241,37 @@ class StarInvariants:
     beta: Fraction
 
 
-@record
-class StarValidation:
-    invariants: StarInvariants
-    triple: tuple[int, int, int]
-    multipliers: tuple[int, int, int]
+def validate_star(b, arms) -> StarInvariants:
+    """The invariants of the star with central weight b and the given arms.
 
-
-def validate_star(b, arms) -> StarValidation:
-    """A star's invariants and its least polyhedral assignment.
-
-    The assignment is the least multipliers m_i >= 1 that make the triple
-    (n_1 m_1, n_2 m_2, n_3 m_3) polyhedral: entries at least 2 whose
-    reciprocals sum to more than 1, that is (2, 2, n), (2, 3, 3), (2, 3, 4)
-    or (2, 3, 5).  m_i is 2 on an empty arm (n_i = 1) and 1 otherwise;
-    larger multipliers only shrink the sum, so some assignment exists
-    exactly when this one does.  With b0 > 0 that decides whether the star
-    is a quotient singularity (Brieskorn, *Rationale Singularitäten
-    komplexer Flächen*, 1968); when every n_i >= 2 the triple is the
-    branching type of the group.  Raises :class:`NotQuotientError` when
-    b0 <= 0, and then when the triple is not polyhedral.
+    Raises :class:`NotQuotientError` when b0 <= 0: the graph is then not
+    negative definite, so it resolves no surface germ.  Every other star
+    gets a value from :func:`euler_local`.
     """
-    star = StarQuotient(b, tuple(arms))
-    b0_num, b0_den, shares, den, triple, multipliers = _star_numbers(star)
-    invariants = StarInvariants(
-        Fraction(b0_num, b0_den), Fraction(sum(shares), den), Fraction(min(shares), den)
-    )
-    return StarValidation(invariants, triple, multipliers)
+    b0_num, b0_den, shares, den = _star_numbers(StarQuotient(b, tuple(arms)))
+    return StarInvariants(Fraction(b0_num, b0_den), Fraction(sum(shares), den), Fraction(min(shares), den))
 
 
 def _star_numbers(star: StarQuotient) -> tuple:
-    """A star's invariants as integers, and its polyhedral assignment.
+    """A star's invariants as integers.
 
-    Returns ``(b0_num, b0_den, shares, den, triple, multipliers)``: b0 is
-    ``b0_num / b0_den`` as in :func:`_star_shape`, and the share
-    (1 - d_i)/n_i of arm i is ``shares[i] / den`` over one common denominator.
+    Returns ``(b0_num, b0_den, shares, den)``: b0 is ``b0_num / b0_den`` over
+    b0_den = lcm n_i, and the share (1 - d_i)/n_i of arm i is
+    ``shares[i] / den`` over one common denominator.  Raises
+    :class:`NotQuotientError` when b0 <= 0.
     """
     a1, a2, a3 = star.arms
     c1, c2, c3 = a1.chain, a2.chain, a3.chain
-    b0_num, b0_den, triple, multipliers = _star_shape(star.b, (c1.n, c2.n, c3.n), (c1.q, c2.q, c3.q))
+    b0_den = lcm(c1.n, c2.n, c3.n)
+    b0_num = star.b * b0_den - c1.q * (b0_den // c1.n) - c2.q * (b0_den // c2.n) - c3.q * (b0_den // c3.n)
+    if b0_num <= 0:
+        b0 = format_rational(Fraction(b0_num, b0_den))
+        raise NotQuotientError(f"b0 = {b0} <= 0: the central curve does not contract")
     (p1, q1), (p2, q2), (p3, q3) = a1.d.as_integer_ratio(), a2.d.as_integer_ratio(), a3.d.as_integer_ratio()
     e1, e2, e3 = q1 * c1.n, q2 * c2.n, q3 * c3.n
     den = lcm(e1, e2, e3)
     shares = [(q1 - p1) * (den // e1), (q2 - p2) * (den // e2), (q3 - p3) * (den // e3)]
-    return b0_num, b0_den, shares, den, triple, multipliers
-
-
-@lru_cache(maxsize=4096)
-def _star_shape(b: int, ns: tuple, qs: tuple) -> tuple:
-    """The part of :func:`_star_numbers` that the weights do not enter.
-
-    For central weight b and arm chains <ns[i], qs[i]>, returns
-    ``(b0_num, b0_den, triple, multipliers)``, b0 being ``b0_num / b0_den``
-    over b0_den = lcm n_i; remembered for the last 4096 shapes.  Raises
-    :class:`NotQuotientError` when b0 <= 0, and then when the triple is not
-    polyhedral; a refused shape is not remembered.
-    """
-    b0_den = lcm(*ns)
-    b0_num = b * b0_den - sum(q * (b0_den // n) for n, q in zip(ns, qs))
-    if b0_num <= 0:
-        b0 = format_rational(Fraction(b0_num, b0_den))
-        raise NotQuotientError(f"b0 = {b0} <= 0: the central curve does not contract")
-    triple, multipliers = _polyhedral_assignment(ns)
-    return b0_num, b0_den, triple, multipliers
-
-
-def _polyhedral_assignment(ns: tuple) -> tuple:
-    """The triple and multipliers of :func:`validate_star` for arm orders ``ns``."""
-    multipliers = tuple(2 if n == 1 else 1 for n in ns)
-    t1, t2, t3 = triple = tuple(sorted(n * m for n, m in zip(ns, multipliers)))
-    if t1 * t2 + t1 * t3 + t2 * t3 <= t1 * t2 * t3:
-        raise NotQuotientError(f"no polyhedral assignment for arm orders {ns}")
-    return triple, multipliers
+    return b0_num, b0_den, shares, den
 
 
 def euler_local(s: Ordinary | CyclicQuotient | StarQuotient | ReducedGerm) -> EulerValue:
@@ -346,7 +307,7 @@ def euler_local(s: Ordinary | CyclicQuotient | StarQuotient | ReducedGerm) -> Eu
         return EulerValue(Fraction((q1 - p1) * (q2 - p2), q1 * q2 * s.chain.n), Exactness.EXACT, True)
     if isinstance(s, StarQuotient):
         # alpha = total/den, beta = least/den and b0 = b0_num/b0_den.
-        b0_num, b0_den, shares, den, _, _ = _star_numbers(s)
+        b0_num, b0_den, shares, den = _star_numbers(s)
         total = sum(shares)
         least = min(shares)
         if total < den:

@@ -82,9 +82,8 @@ def test_criterion_03_quotient_reciprocals():
         expected = {"D4": F(1, 8), "E6": F(1, 24), "E7": F(1, 48), "E8": F(1, 120)}
         for name, (b, arms, triple, value) in ADE_STARS.items():
             star_value = euler_local(StarQuotient(b, arms))
-            validation = validate_star(b, arms)
-            assert validation.triple == triple, name
-            degree = cover_degree(validation.invariants.b0, *validation.triple).degree
+            assert tuple(sorted(n for n, _, _ in arms)) == triple, name
+            degree = cover_degree(validate_star(b, arms).b0, *triple).degree
             assert star_value.value == expected[name] == 1 / degree, name
 
 

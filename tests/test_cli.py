@@ -96,6 +96,27 @@ class TestLocal:
         assert code == 0
         assert payload["values"]["value"] == "1/6"
 
+    def test_empty_arm_star_prints_its_chain(self, capsys):
+        # The star [7, 2, 7] with an empty arm is the chain <84, 13>.
+        star = run(capsys, "local", "--star", "2;7,1,0;7,1,0;1,0,0")
+        assert star == run(capsys, "local", "--cyclic", "84,13,0,0")
+        assert star == (0, "value=1/84 (~0.01190476) kind=exact lc=lc\n", "")
+
+    @pytest.mark.parametrize(
+        "star, value, lc",
+        [
+            ("1;3,2,0;7,2,0;1,0,3/10", "1369/8400", "lc"),
+            ("1;2,1,0;3,1,0;7,1,0", "0", "non-lc"),
+            ("2;2,1,0;3,1,0;6,1,0", "0", "lc"),
+            ("2;2,1,0;4,1,0;4,1,0", "0", "lc"),
+            ("2;3,1,0;3,1,0;3,1,0", "0", "lc"),
+        ],
+        ids=["E12", "2-3-7", "2-3-6", "2-4-4", "3-3-3"],
+    )
+    def test_star_beyond_the_quotients(self, capsys, star, value, lc):
+        code, payload, err = run_machine(capsys, "local", "--star", star)
+        assert (code, payload["values"], err) == (0, {"value": value, "kind": "exact", "lc": lc}, "")
+
     def test_cyclic_and_germ_shorthands(self, capsys):
         code, payload, _ = run_machine(capsys, "local", "--cyclic", "3,1,0,0")
         assert code == 0 and payload["values"]["value"] == "1/3"

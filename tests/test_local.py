@@ -1,5 +1,5 @@
 from fractions import Fraction as F
-from itertools import product
+from itertools import combinations_with_replacement
 from math import gcd, lcm, prod
 
 import pytest
@@ -18,10 +18,11 @@ from orbeuler import (
     StarArm,
     StarInvariants,
     StarQuotient,
-    StarValidation,
     as_rational,
     euler_local,
     format_rational,
+    hj_eval,
+    hj_expand,
     singularity_from_dict,
     singularity_to_dict,
     validate_star,
@@ -69,28 +70,17 @@ def ordinary_oracle(coeffs):
     return (1 - a / 2) ** 2, Exactness.UPPER_BOUND, True
 
 
-def star_validation_oracle(star):
-    """The least polyhedral assignment, found among all multipliers in [1..6]^3."""
+def star_invariants_oracle(star):
+    """b0, alpha and beta by Fraction arithmetic; b0 <= 0 is refused."""
     b0 = star.b - sum(F(arm.q, arm.n) for arm in star.arms)
     if b0 <= 0:
         raise NotQuotientError(f"b0 = {format_rational(b0)} <= 0: the central curve does not contract")
     shares = [(1 - arm.d) / arm.n for arm in star.arms]
-    invariants = StarInvariants(b0, sum(shares), min(shares))
-    ns = tuple(arm.n for arm in star.arms)
-    kept = [
-        ms
-        for ms in product(range(1, 7), repeat=3)
-        if min(n * m for n, m in zip(ns, ms)) >= 2 and sum(F(1, n * m) for n, m in zip(ns, ms)) > 1
-    ]
-    if not kept:
-        raise NotQuotientError(f"no polyhedral assignment for arm orders {ns}")
-    least = tuple(map(min, zip(*kept)))
-    assert least in kept, (ns, kept)
-    return StarValidation(invariants, tuple(sorted(n * m for n, m in zip(ns, least))), least)
+    return StarInvariants(b0, sum(shares), min(shares))
 
 
 def star_oracle(star):
-    inv = star_validation_oracle(star).invariants
+    inv = star_invariants_oracle(star)
     if inv.alpha < 1:
         return F(0), Exactness.EXACT, False
     if inv.alpha < 2 * inv.beta + 1:
@@ -112,16 +102,11 @@ def coprime_residue(n, k):
     return residues[k % len(residues)]
 
 
-def _polyhedral(ns):
-    try:
-        star_validation_oracle(star(3, [(n, 1 % n, 0) for n in ns]))
-    except NotQuotientError:
-        return False
-    return True
-
-
-# Sorted arm orders up to 6 that some star accepts; b = 3 exceeds every sum of q/n.
-POLYHEDRAL_ORDERS = [ns for ns in product(range(1, 7), repeat=3) if ns == tuple(sorted(ns)) and _polyhedral(ns)]
+# Sorted arm orders up to 6 with sum 1/n_i > 1: the spherical triples, and
+# every triple with an empty arm.
+POLYHEDRAL_ORDERS = [
+    ns for ns in combinations_with_replacement(range(1, 7), 3) if sum(F(1, n) for n in ns) > 1
+]
 
 
 @st.composite
@@ -198,7 +183,7 @@ class TestIntegerEvaluationOracle:
     @given(any_stars())
     def test_validation_matches(self, germ):
         try:
-            expected = star_validation_oracle(germ)
+            expected = star_invariants_oracle(germ)
         except NotQuotientError as error:
             with pytest.raises(NotQuotientError) as caught:
                 validate_star(germ.b, germ.arms)
@@ -248,19 +233,19 @@ class TestIntegerEvaluationOracle:
     @pytest.mark.parametrize("n", range(2, 61))
     def test_dihedral_b0_one_over_n(self, n):
         # D_{n+2}: b0 = 1/n = 1/lcm(2, 2, n) and e_orb = 1/|G| for the binary
-        # dihedral group of order 4n.
+        # dihedral group of order 4n, which the cover oracle reads off b0 and
+        # the triple (2, 2, n).
         germ = star(2, ((2, 1, 0), (2, 1, 0), (n, n - 1, 0)))
-        validation = validate_star(germ.b, germ.arms)
-        assert validation.invariants == StarInvariants(F(1, n), 1 + F(1, n), F(1, n))
-        assert (validation.triple, validation.multipliers) == ((2, 2, n), (1, 1, 1))
-        assert validation == star_validation_oracle(germ)
+        invariants = validate_star(germ.b, germ.arms)
+        assert invariants == StarInvariants(F(1, n), 1 + F(1, n), F(1, n)) == star_invariants_oracle(germ)
         assert euler_local(germ) == EulerValue(F(1, 4 * n), Exactness.EXACT, True)
+        assert cover_degree(invariants.b0, 2, 2, n).degree == 4 * n
         self.assert_matches(germ)
 
     def test_exceptional_b0_one_over_lcm(self):
         for name, (b, arms, _, expected) in ADE_STARS.items():
             germ = star(b, arms)
-            assert validate_star(b, germ.arms).invariants.b0 == F(1, lcm(*(n for n, _, _ in arms))), name
+            assert validate_star(b, germ.arms).b0 == F(1, lcm(*(n for n, _, _ in arms))), name
             assert euler_local(germ).value == expected, name
             self.assert_matches(germ)
 
@@ -287,7 +272,7 @@ class TestUnchangedRefusals:
         [
             (1, ((2, 1, 0), (3, 2, 0), (5, 4, 0)), "-29/30"),
             (1, ((2, 1, 0), (2, 1, 0), (1, 0, 0)), "0"),
-            (2, ((5, 4, 0), (5, 4, 0), (5, 4, 0)), "-2/5"),  # not polyhedral either
+            (2, ((5, 4, 0), (5, 4, 0), (5, 4, 0)), "-2/5"),
         ],
     )
     def test_b0_refused_first(self, b, arms, b0):
@@ -296,14 +281,6 @@ class TestUnchangedRefusals:
             validate_star(b, star(b, arms).arms)
         with pytest.raises(NotQuotientError, match=message):
             euler_local(star(b, arms))
-
-    def test_non_polyhedral_refused_after_b0(self):
-        germ = star(3, ((5, 4, 0), (5, 4, 0), (5, 4, 0)))
-        message = r"^no polyhedral assignment for arm orders \(5, 5, 5\)$"
-        with pytest.raises(NotQuotientError, match=message):
-            validate_star(germ.b, germ.arms)
-        with pytest.raises(NotQuotientError, match=message):
-            euler_local(germ)
 
     @pytest.mark.parametrize("bad", [0.5, 1.0, True, False])
     def test_floats_and_bools_refused(self, bad):
@@ -328,8 +305,7 @@ class TestUnchangedRefusals:
             (1 - F(4, 9)) / 2 + (1 - F(1, 5)) / 2 + F(1, 55),
             F(1, 55),
         )
-        assert validate_star(germ.b, germ.arms).invariants == expected
-        assert validate_star(germ.b, germ.arms) == star_validation_oracle(germ)
+        assert validate_star(germ.b, germ.arms) == expected == star_invariants_oracle(germ)
 
 
 def outcome(doc):
@@ -360,7 +336,7 @@ TEMPLATES = [
 
 
 class TestCachedChecks:
-    """The weight and star-shape caches answer exactly as a fresh check would."""
+    """The weight cache answers exactly as a fresh check would."""
 
     @pytest.mark.parametrize("order", [CONFLATED, CONFLATED[::-1]], ids=["int-first", "float-first"])
     @pytest.mark.parametrize("template, verdicts", TEMPLATES)
@@ -381,14 +357,14 @@ class TestCachedChecks:
                 singularity_from_dict({"type": "star", "b": 2, "arms": [[2, 1, literal], [3, 1, 0], [5, 1, 0]]})
 
     def test_refused_shape_raises_on_every_use(self):
-        for b, arms in ((1, ((2, 1, 0), (3, 2, 0), (5, 4, 0))), (3, ((5, 4, 0), (5, 4, 0), (5, 4, 0)))):
-            for weight in (0, F(1, 2)):
-                germ = star(b, tuple((n, q, weight) for n, q, _ in arms))
-                with pytest.raises(NotQuotientError):
-                    euler_local(germ)
+        for weight in (0, F(1, 2)):
+            with pytest.raises(NotQuotientError):
+                euler_local(star(1, ((2, 1, weight), (3, 2, weight), (5, 4, weight))))
+            hyperbolic = star(3, ((5, 4, weight), (5, 4, weight), (5, 4, weight)))
+            assert euler_local(hyperbolic) == EulerValue(F(0), Exactness.EXACT, False)
 
     def test_one_shape_many_weights(self):
-        # The shape is shared; the weight-dependent shares are not.
+        # One central weight and arm chains; each weight gives its own shares.
         for weight in (F(0), F(1, 3), F(1, 2), F(9, 10), F(1)):
             germ = star(2, ((2, 1, weight), (3, 1, 0), (5, 1, F(1, 3))))
             assert euler_local(germ) == oracle(germ)
@@ -521,20 +497,15 @@ class TestCyclic:
 
 class TestStars:
     def test_e8_validation(self):
-        validation = validate_star(2, (StarArm(Chain(2, 1), F(0)), StarArm(Chain(3, 2), F(0)), StarArm(Chain(5, 4), F(0))))
-        assert validation.invariants.b0 == F(1, 30)
-        assert validation.triple == (2, 3, 5)
-        assert validation.multipliers == (1, 1, 1)
-
-    def test_cusp_star_assignment_is_the_least(self):
-        validation = validate_star(1, cusp(F(0)).arms)
-        assert validation.invariants.b0 == F(1, 6)
-        assert validation.triple == (2, 2, 3)
-        assert validation.multipliers == (1, 1, 2)
+        invariants = validate_star(2, (StarArm(Chain(2, 1), F(0)), StarArm(Chain(3, 2), F(0)), StarArm(Chain(5, 4), F(0))))
+        assert invariants == StarInvariants(F(1, 30), F(31, 30), F(1, 5))
+        assert cover_degree(invariants.b0, 2, 3, 5).degree == 120
 
     def test_not_quotient(self):
-        with pytest.raises(NotQuotientError):
-            validate_star(1, star(1, ((5, 1, 0), (5, 1, 0), (5, 1, 0))).arms)
+        # (5, 5, 5) is hyperbolic: b0 = 2/5 > 0, but alpha = 3/5 < 1.
+        germ = star(1, ((5, 1, 0), (5, 1, 0), (5, 1, 0)))
+        assert validate_star(1, germ.arms).b0 == F(2, 5)
+        assert euler_local(germ) == EulerValue(F(0), Exactness.EXACT, False)
 
     def test_negative_b0_rejected(self):
         with pytest.raises(NotQuotientError):
@@ -542,22 +513,84 @@ class TestStars:
 
     def test_ade_reciprocals(self):
         for name, (b, arms, triple, expected) in ADE_STARS.items():
-            validation = validate_star(b, star(b, arms).arms)
-            assert validation.triple == triple, name
+            assert tuple(sorted(n for n, _, _ in arms)) == triple, name
             value = euler_local(star(b, arms))
-            record = cover_degree(validation.invariants.b0, *triple)
+            record = cover_degree(validate_star(b, star(b, arms).arms).b0, *triple)
             assert value.value == expected == 1 / record.degree, name
 
     @example(star(2, ((2, 1, 0), (2, 1, 0), (3, 2, 0))))  # D5
+    @example(star(2, ((2, 1, 0), (3, 1, 0), (6, 1, 0))))  # Euclidean
     @given(zero_weight_stars)
     def test_triple_gives_the_group_order(self, germ):
-        # With zero weights the value is 1/|G|, and the cover oracle reads |G|
-        # off b0 and the triple.
+        # With zero weights the triple is the sorted arm orders.  A spherical
+        # triple gives 1/|G|, and the cover oracle reads |G| off b0 and the
+        # triple; any other gives 0, lc exactly when the triple is Euclidean.
         try:
-            validation = validate_star(germ.b, germ.arms)
+            b0 = validate_star(germ.b, germ.arms).b0
         except NotQuotientError:
             assume(False)
-        assert cover_degree(validation.invariants.b0, *validation.triple).degree == 1 / euler_local(germ).value
+        triple = sorted(arm.n for arm in germ.arms)
+        excess = sum(F(1, n) for n in triple) - 1
+        value = euler_local(germ)
+        if excess > 0:
+            assert cover_degree(b0, *triple).degree == 1 / value.value
+        else:
+            assert value == EulerValue(F(0), Exactness.EXACT, excess == 0)
+
+    @pytest.mark.parametrize(
+        "b, arms, value, lc",
+        [
+            (2, ((7, 1, 0), (7, 1, 0), (1, 0, 0)), F(1, 84), True),  # the chain [7, 2, 7] = <84, 13>
+            (1, ((3, 2, 0), (7, 2, 0), (1, 0, F(3, 10))), F(1369, 8400), True),  # x^3 + y^7, E_12
+            (1, ((2, 1, 0), (3, 1, 0), (7, 1, 0)), F(0), False),  # hyperbolic (2, 3, 7)
+            (3, ((5, 4, 0), (5, 4, 0), (5, 4, 0)), F(0), False),  # hyperbolic, b0 = 3/5
+            (2, ((2, 1, 0), (3, 1, 0), (6, 1, 0)), F(0), True),  # Euclidean: lc, not klt
+            (2, ((2, 1, 0), (4, 1, 0), (4, 1, 0)), F(0), True),
+            (2, ((3, 1, 0), (3, 1, 0), (3, 1, 0)), F(0), True),
+        ],
+        ids=["chain-7-2-7", "E12", "2-3-7", "5-5-5", "2-3-6", "2-4-4", "3-3-3"],
+    )
+    def test_stars_beyond_the_quotients(self, b, arms, value, lc):
+        germ = star(b, arms)
+        assert euler_local(germ) == oracle(germ) == EulerValue(value, Exactness.EXACT, lc)
+
+    @given(
+        st.integers(1, 15), st.integers(0, 30), st.integers(1, 15), st.integers(0, 30),
+        weights, weights, st.integers(1, 5), st.integers(0, 2),
+    )
+    def test_zero_weight_empty_arm_is_the_contracted_chain(self, n1, k1, n2, k2, d1, d2, b, place):
+        # The empty arm adds no curve: the graph is the chain of the two
+        # other arms through the central curve, a cyclic quotient.
+        q1, q2 = coprime_residue(n1, k1), coprime_residue(n2, k2)
+        det = star_determinant(b, [(n1, q1), (n2, q2), (1, 0)])
+        assume(det > 0)
+        arms = [(n1, q1, d1), (n2, q2, d2)]
+        arms.insert(place, (1, 0, 0))
+        value = euler_local(star(b, arms))
+        assert value == EulerValue((1 - d1) * (1 - d2) / det, Exactness.EXACT, True)
+        if b >= 2:
+            chain = hj_eval(list(reversed(hj_expand(n1, q1))) + [b] + hj_expand(n2, q2))
+            assert value == euler_local(CyclicQuotient(chain, d1, d2))
+
+    @given(st.integers(1, 15), st.integers(0, 30), weights, weights, weights, st.integers(2, 5))
+    def test_weighted_empty_arm_through_a_palindromic_chain(self, n, k, d1, d2, d3, b):
+        # A second derivation for a boundary curve through the middle of a
+        # chain.  The chain [reversed(hj_expand(n, q)), b, hj_expand(n, q)]
+        # is <N, Q> with Q^2 = 1 mod N, so swapping the coordinates of C^2
+        # preserves the group (t, t^Q) of order N and fixes the middle curve.
+        # A curve through it lifts to the r = N / gcd(N, Q - 1) lines of one
+        # orbit, and the ends' curves to the axes: e_orb is that of an
+        # ordinary point of r + 2 branches, divided by N.
+        q = coprime_residue(n, k)
+        chain = hj_eval(list(reversed(hj_expand(n, q))) + [b] + hj_expand(n, q))
+        assert (chain.q * chain.q - 1) % chain.n == 0
+        lifted = euler_local(Ordinary((d1, d2) + (d3,) * (chain.n // gcd(chain.n, chain.q - 1))))
+        value = euler_local(star(b, ((n, q, d1), (n, q, d2), (1, 0, d3))))
+        assert value.lc == lifted.lc
+        if lifted.is_exact:
+            assert value.value == lifted.value / chain.n
+        else:
+            assert value.value <= lifted.value / chain.n
 
     @given(any_stars())
     def test_determinant_is_b0_times_the_arm_orders(self, germ):
@@ -565,12 +598,13 @@ class TestStars:
         det = star_determinant(germ.b, [(arm.n, arm.q) for arm in germ.arms])
         assert det == (germ.b - sum(F(arm.q, arm.n) for arm in germ.arms)) * order
         try:
-            validation = validate_star(germ.b, germ.arms)
+            invariants = validate_star(germ.b, germ.arms)
         except NotQuotientError:
             return
-        assert det == validation.invariants.b0 * order
+        assert det == invariants.b0 * order
 
     def test_cusp_values(self):
+        assert validate_star(1, cusp(F(0)).arms).b0 == F(1, 6)
         assert euler_local(cusp(F(1, 2))).value == F(1, 6)
         assert euler_local(cusp(F(1, 12))).value == F(5, 6)
         non_lc = euler_local(cusp(F(9, 10)))
@@ -581,7 +615,7 @@ class TestStars:
         boundary = euler_local(cusp(F(5, 6)))
         assert (boundary.value, boundary.lc) == (F(0), True)
         # alpha = 2 beta + 1: both closed forms give beta^2 / b0.
-        invariants = validate_star(1, cusp(F(1, 6)).arms).invariants
+        invariants = validate_star(1, cusp(F(1, 6)).arms)
         assert invariants.alpha == 2 * invariants.beta + 1
         value = euler_local(cusp(F(1, 6))).value
         assert value == (invariants.alpha - 1) ** 2 / (4 * invariants.b0)

@@ -57,7 +57,6 @@ INEQ = (
     "IneqReport(lhs=Fraction(1, 1), rhs=Fraction(3, 2), slack=Fraction(1, 2), "
     f"verdict=<Verdict.PRECONDITION_FAILED: 'precondition-failed'>, equality=False, notes=({NOTE},))"
 )
-INVARIANTS = "StarInvariants(b0=Fraction(1, 30), alpha=Fraction(47, 60), beta=Fraction(1, 5))"
 
 # One instance of each record, and its repr.
 RECORDS = {
@@ -81,10 +80,9 @@ RECORDS = {
         "StarArm(chain=Chain(n=3, q=2), d=Fraction(0, 1)), StarArm(chain=Chain(n=5, q=4), d=Fraction(0, 1))))",
     ),
     "ReducedGerm": (lambda: ReducedGerm(4, 3), "ReducedGerm(mu=4, tau=3)"),
-    "StarInvariants": (lambda: validate_star(2, E8).invariants, INVARIANTS),
-    "StarValidation": (
+    "StarInvariants": (
         lambda: validate_star(2, E8),
-        f"StarValidation(invariants={INVARIANTS}, triple=(2, 3, 5), multipliers=(1, 1, 1))",
+        "StarInvariants(b0=Fraction(1, 30), alpha=Fraction(47, 60), beta=Fraction(1, 5))",
     ),
     "CoverDegree": (
         lambda: cover_degree("1/30", 2, 3, 5),
