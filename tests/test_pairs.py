@@ -94,7 +94,7 @@ ids = st.lists(st.text(min_size=1, max_size=4), max_size=5, unique=True)
 
 @st.composite
 def contracting_stars(draw):
-    """Stars with arm orders up to 6 and b0 > 0, which every star evaluation accepts."""
+    """Stars with arm orders up to 6 and b0 > 0."""
     arms = tuple(
         (n, draw(st.sampled_from(coprime_residues(n))), draw(weights))
         for n in draw(st.tuples(*[st.integers(1, 6)] * 3))

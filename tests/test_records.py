@@ -57,6 +57,7 @@ INEQ = (
     "IneqReport(lhs=Fraction(1, 1), rhs=Fraction(3, 2), slack=Fraction(1, 2), "
     f"verdict=<Verdict.PRECONDITION_FAILED: 'precondition-failed'>, equality=False, notes=({NOTE},))"
 )
+INVARIANTS = "StarInvariants(b0=Fraction(1, 30), alpha=Fraction(47, 60), beta=Fraction(1, 5))"
 
 # One instance of each record, and its repr.
 RECORDS = {
@@ -80,10 +81,7 @@ RECORDS = {
         "StarArm(chain=Chain(n=3, q=2), d=Fraction(0, 1)), StarArm(chain=Chain(n=5, q=4), d=Fraction(0, 1))))",
     ),
     "ReducedGerm": (lambda: ReducedGerm(4, 3), "ReducedGerm(mu=4, tau=3)"),
-    "StarInvariants": (
-        lambda: validate_star(2, E8),
-        "StarInvariants(b0=Fraction(1, 30), alpha=Fraction(47, 60), beta=Fraction(1, 5))",
-    ),
+    "StarInvariants": (lambda: validate_star(2, E8), INVARIANTS),
     "CoverDegree": (
         lambda: cover_degree("1/30", 2, 3, 5),
         "CoverDegree(half_order=Fraction(30, 1), degree=Fraction(120, 1), triple=(2, 3, 5))",
