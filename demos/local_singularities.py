@@ -26,7 +26,7 @@ for coeffs in (["1/2", "1/2", "1/2"], ["1/6", "1/3", "1/2"], ["1/3"] * 4, ["1", 
 
 print("\n== Cyclic quotients:  (1-d1)(1-d2)/n ==")
 for n, q, d1, d2 in ((3, 1, "0", "0"), (4, 3, "1/2", "0"), (1, 0, "1/2", "1/3")):
-    print(f"  <{n},{q}> with d=({d1},{d2}): {euler_local(CyclicQuotient((n, q), d1, d2)).value}")
+    print(f"  <{n},{q}> with d=({d1},{d2}): {euler_local(CyclicQuotient(n, q, d1, d2)).value}")
 
 print("\n== Stars: the ADE family at zero boundary, b0 and alpha ==")
 ade = {
@@ -43,7 +43,7 @@ for name, (b, arms) in ade.items():
 
 print("\n== An empty arm: the star [7, 2, 7] is the chain <84, 13> ==")
 chain_star = euler_local(StarQuotient(2, ((7, 1, 0), (7, 1, 0), (1, 0, 0))))
-print(f"  star [7, 2, 7]: {chain_star.value}   <84,13>: {euler_local(CyclicQuotient((84, 13), 0, 0)).value}")
+print(f"  star [7, 2, 7]: {chain_star.value}   <84,13>: {euler_local(CyclicQuotient(84, 13, 0, 0)).value}")
 
 print("\n== The ordinary cusp x^2 = y^3, weight alpha ==")
 for alpha in ("0", "1/12", "1/6", "1/2", "5/6", "1"):

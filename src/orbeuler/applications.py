@@ -27,7 +27,7 @@ from fractions import Fraction
 from math import ceil, floor, isqrt
 
 from ._record import record
-from .rationals import Chain, as_integer, as_rational, format_rational, parse_integer
+from .rationals import as_integer, as_rational, format_rational, parse_integer
 
 __all__ = [
     "InvalidArrangementError",
@@ -135,14 +135,15 @@ def check_arrangement(k, t=None) -> ArrangementReport:
 
     Accepts an :class:`ArrangementData` or a pair (k, mapping r -> t_r).
     Arrangements with a point on more than 2k/3 lines fall outside the
-    hypothesis and report "hypothesis-not-met".
+    hypothesis and report "hypothesis-not-met"; so does a single line, each
+    of whose points lies on 1 > 2/3 lines.
     """
     data = k if isinstance(k, ArrangementData) else ArrangementData.from_counts(k, t or {})
     incidence_sum = sum(count * r for r, count in data.t)
     square_sum = sum(count * r * r for r, count in data.t)
     incidence_bound = ceil(Fraction(data.k * data.k, 3) + data.k)
     square_bound = ceil(Fraction(4 * data.k * data.k, 3))
-    large = [r for r, count in data.t if count and 3 * r > 2 * data.k]
+    large = [1] if data.k == 1 else [r for r, count in data.t if count and 3 * r > 2 * data.k]
     if large:
         verdict, pencil = "hypothesis-not-met", min(large)
     elif incidence_sum >= incidence_bound and square_sum >= square_bound:
@@ -164,17 +165,9 @@ def cusp_star(alpha) -> StarQuotient:
     """The star-shaped resolution of an ordinary cusp x^2 = y^3 with weight alpha."""
     # The only use of local here; imported on call so that the other
     # applications load without it.
-    from .local import StarArm, StarQuotient
+    from .local import StarQuotient
 
-    alpha = as_rational(alpha)
-    return StarQuotient(
-        1,
-        (
-            StarArm(Chain(2, 1), Fraction(0)),
-            StarArm(Chain(3, 1), Fraction(0)),
-            StarArm(Chain(1, 0), alpha),
-        ),
-    )
+    return StarQuotient(1, ((2, 1, 0), (3, 1, 0), (1, 0, alpha)))
 
 
 def cusp_euler(alpha) -> Fraction:

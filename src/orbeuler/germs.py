@@ -313,7 +313,10 @@ def lct_obstruction(pairs: Iterable) -> tuple[int, str]:
     """
     total = 0
     for entry in pairs:
-        mu, tau = entry
+        try:
+            mu, tau = entry
+        except (TypeError, ValueError):
+            raise ValueError(f"point {entry!r} is not a (mu, tau) pair") from None
         as_integer(mu, "mu")
         as_integer(tau, "tau")
         if mu < 0 or tau < 0 or mu < tau:

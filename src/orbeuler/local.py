@@ -53,8 +53,7 @@ from math import lcm
 
 from ._record import record
 from .rationals import (
-    Chain,
-    ChainError,
+    as_chain,
     as_integer,
     as_list,
     as_object,
@@ -69,7 +68,6 @@ __all__ = [
     "EulerValue",
     "Ordinary",
     "CyclicQuotient",
-    "StarArm",
     "StarQuotient",
     "ReducedGerm",
     "StarInvariants",
@@ -140,16 +138,6 @@ def _weight_literal(text: str) -> Fraction:
     return as_weight(text, "boundary weight")
 
 
-def _as_chain(chain) -> Chain:
-    if isinstance(chain, Chain):
-        return chain
-    try:
-        n, q = chain
-    except (TypeError, ValueError):
-        raise ChainError(f"not a chain descriptor: {chain!r}") from None
-    return Chain(n, q)
-
-
 @record
 class Ordinary:
     """An ordinary point: smooth branches with pairwise distinct tangents."""
@@ -167,54 +155,36 @@ class Ordinary:
 class CyclicQuotient:
     """Chain type <n, q> with boundary weights d1, d2 on the end curves."""
 
-    chain: Chain
+    n: int
+    q: int
     d1: Fraction
     d2: Fraction
 
-    def _check(chain, d1, d2):
-        return _as_chain(chain), _weight(d1), _weight(d2)
-
-
-@record
-class StarArm:
-    """One arm of a star: a chain <n, q> whose outer end carries weight d."""
-
-    chain: Chain
-    d: Fraction
-
-    def _check(chain, d):
-        return _as_chain(chain), _weight(d)
-
-    @property
-    def n(self) -> int:
-        return self.chain.n
-
-    @property
-    def q(self) -> int:
-        return self.chain.q
+    def _check(n, q, d1, d2):
+        return (*as_chain(n, q), _weight(d1), _weight(d2))
 
 
 @record
 class StarQuotient:
-    """Central curve of self-intersection -b with exactly three arms."""
+    """Central curve of self-intersection -b with exactly three arms, each
+    the triple ``(n, q, d)`` of a chain <n, q> whose outer end has weight d."""
 
     b: int
     arms: tuple
 
     def _check(b, arms):
         as_integer(b, "central weight b", 1)
-        arms = tuple(arm if isinstance(arm, StarArm) else _star_arm(arm) for arm in arms)
+        arms = tuple(map(_star_arm, arms))
         if len(arms) != 3:
             raise ValueError(f"a star has exactly 3 arms, got {len(arms)}")
         return b, arms
 
 
-def _star_arm(entry) -> StarArm:
-    try:
+def _star_arm(entry) -> tuple:
+    if isinstance(entry, (list, tuple)) and len(entry) == 3:
         n, q, d = entry
-    except (TypeError, ValueError):
-        raise ValueError(f"star arm {entry!r} is not an (n, q, d) triple") from None
-    return StarArm(Chain(n, q), d)
+        return (*as_chain(n, q), _weight(d))
+    raise ValueError(f"star arm {entry!r} is not an (n, q, d) triple")
 
 
 @record
@@ -248,7 +218,7 @@ def validate_star(b, arms) -> StarInvariants:
     negative definite, so it resolves no surface germ.  Every other star
     gets a value from :func:`euler_local`.
     """
-    b0_num, b0_den, shares, den = _star_numbers(StarQuotient(b, tuple(arms)))
+    b0_num, b0_den, shares, den = _star_numbers(StarQuotient(b, arms))
     return StarInvariants(Fraction(b0_num, b0_den), Fraction(sum(shares), den), Fraction(min(shares), den))
 
 
@@ -260,17 +230,17 @@ def _star_numbers(star: StarQuotient) -> tuple:
     ``shares[i] / den`` over one common denominator.  Raises
     :class:`NotQuotientError` when b0 <= 0.
     """
-    a1, a2, a3 = star.arms
-    c1, c2, c3 = a1.chain, a2.chain, a3.chain
-    b0_den = lcm(c1.n, c2.n, c3.n)
-    b0_num = star.b * b0_den - c1.q * (b0_den // c1.n) - c2.q * (b0_den // c2.n) - c3.q * (b0_den // c3.n)
+    (n1, q1, d1), (n2, q2, d2), (n3, q3, d3) = star.arms
+    b0_den = lcm(n1, n2, n3)
+    b0_num = star.b * b0_den - q1 * (b0_den // n1) - q2 * (b0_den // n2) - q3 * (b0_den // n3)
     if b0_num <= 0:
         b0 = format_rational(Fraction(b0_num, b0_den))
         raise NotQuotientError(f"b0 = {b0} <= 0: the central curve does not contract")
-    (p1, q1), (p2, q2), (p3, q3) = a1.d.as_integer_ratio(), a2.d.as_integer_ratio(), a3.d.as_integer_ratio()
-    e1, e2, e3 = q1 * c1.n, q2 * c2.n, q3 * c3.n
+    # d_i = p_i / s_i, so the share (1 - d_i) / n_i is (s_i - p_i) / e_i.
+    (p1, s1), (p2, s2), (p3, s3) = d1.as_integer_ratio(), d2.as_integer_ratio(), d3.as_integer_ratio()
+    e1, e2, e3 = s1 * n1, s2 * n2, s3 * n3
     den = lcm(e1, e2, e3)
-    shares = [(q1 - p1) * (den // e1), (q2 - p2) * (den // e2), (q3 - p3) * (den // e3)]
+    shares = [(s1 - p1) * (den // e1), (s2 - p2) * (den // e2), (s3 - p3) * (den // e3)]
     return b0_num, b0_den, shares, den
 
 
@@ -304,7 +274,7 @@ def euler_local(s: Ordinary | CyclicQuotient | StarQuotient | ReducedGerm) -> Eu
     if isinstance(s, CyclicQuotient):
         p1, q1 = s.d1.as_integer_ratio()
         p2, q2 = s.d2.as_integer_ratio()
-        return EulerValue(Fraction((q1 - p1) * (q2 - p2), q1 * q2 * s.chain.n), Exactness.EXACT, True)
+        return EulerValue(Fraction((q1 - p1) * (q2 - p2), q1 * q2 * s.n), Exactness.EXACT, True)
     if isinstance(s, StarQuotient):
         # alpha = total/den, beta = least/den and b0 = b0_num/b0_den.
         b0_num, b0_den, shares, den = _star_numbers(s)
@@ -340,8 +310,7 @@ def singularity_from_dict(doc) -> Ordinary | CyclicQuotient | StarQuotient | Red
         (coeffs,) = as_object(doc, "singularity", "coeffs")
         return Ordinary(as_list(coeffs, "field 'coeffs'"))
     if kind == "cyclic":
-        n, q, d1, d2 = as_object(doc, "singularity", "n", "q", "d1", "d2")
-        return CyclicQuotient(Chain(n, q), d1, d2)
+        return CyclicQuotient(*as_object(doc, "singularity", "n", "q", "d1", "d2"))
     if kind == "star":
         b, arms = as_object(doc, "singularity", "b", "arms")
         return StarQuotient(b, as_list(arms, "field 'arms'"))
@@ -356,8 +325,8 @@ def singularity_to_dict(s: Ordinary | CyclicQuotient | StarQuotient | ReducedGer
     if isinstance(s, CyclicQuotient):
         return {
             "type": "cyclic",
-            "n": s.chain.n,
-            "q": s.chain.q,
+            "n": s.n,
+            "q": s.q,
             "d1": format_rational(s.d1),
             "d2": format_rational(s.d2),
         }
@@ -365,7 +334,7 @@ def singularity_to_dict(s: Ordinary | CyclicQuotient | StarQuotient | ReducedGer
         return {
             "type": "star",
             "b": s.b,
-            "arms": [[arm.n, arm.q, format_rational(arm.d)] for arm in s.arms],
+            "arms": [[n, q, format_rational(d)] for n, q, d in s.arms],
         }
     if isinstance(s, ReducedGerm):
         return {"type": "germ_mu_tau", "mu": s.mu, "tau": s.tau}

@@ -329,7 +329,7 @@ def _boundary_weights(germ: Ordinary | CyclicQuotient | StarQuotient | ReducedGe
     if isinstance(germ, CyclicQuotient):
         return (germ.d1, germ.d2)
     if isinstance(germ, StarQuotient):
-        return tuple(arm.d for arm in germ.arms)
+        return tuple(d for _, _, d in germ.arms)
     return (Fraction(1),)
 
 
@@ -483,7 +483,10 @@ def max_canonical_degree_extremal(genus: int, points) -> Fraction:
     as_integer(genus, "genus", 0)
     total = Fraction(3) * (genus - 1)
     for entry in points:
-        r, m = entry
+        try:
+            r, m = entry
+        except (TypeError, ValueError):
+            raise ValueError(f"point {entry!r} is not a (branches, multiplicity) pair") from None
         as_integer(r, "branch count", 1)
         m = as_rational(m)
         if r > m:

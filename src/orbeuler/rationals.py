@@ -5,9 +5,10 @@ floats are refused at the API boundary so rounding can never leak into a
 result.  Rational literals are ``"p/q"`` with an optional sign on ``p``, or a
 bare integer ``"p"``, in ASCII digits; a zero denominator is rejected.
 
-Every integer, weight, list and object field of the package is read by
-:func:`as_integer`, :func:`as_weight`, :func:`as_list` or :func:`as_object`;
-an integer field refuses ``bool``, ``float``, ``str`` and ``Fraction``.
+Every integer, weight, chain type, list and object field of the package is
+read by :func:`as_integer`, :func:`as_weight`, :func:`as_chain`,
+:func:`as_list` or :func:`as_object`; an integer field refuses ``bool``,
+``float``, ``str`` and ``Fraction``.
 Integer text, a CLI flag's or an arrangement's ``t`` key, is read by :func:`parse_integer`.
 
 The continued-fraction helpers describe the exceptional chain of a cyclic
@@ -15,7 +16,8 @@ quotient surface singularity:
 
     n/q = b1 - 1/(b2 - 1/(b3 - ...)),   all b_i >= 2.
 
-``Chain(1, 0)`` encodes the empty chain.
+A chain type <n, q> is the pair of integers ``(n, q)``; ``(1, 0)`` encodes
+the empty chain.
 """
 
 from __future__ import annotations
@@ -25,12 +27,9 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from ._record import record
-
 __all__ = [
     "ChainError",
     "InexactError",
-    "Chain",
     "as_rational",
     "parse_rational",
     "format_rational",
@@ -80,6 +79,18 @@ def as_weight(value, what, *owner) -> Fraction:
     if not 0 <= w.numerator <= w.denominator:
         raise ValueError(f"{what.format(*owner)} {format_rational(w)} outside [0, 1]")
     return w
+
+
+def as_chain(n, q) -> tuple[int, int]:
+    """``(n, q)`` if it is the type <n, q> of an exceptional chain in lowest
+    terms: ``0 <= q < n`` and ``gcd(n, q) = 1``.  Refuses with :class:`ChainError`."""
+    as_integer(n, "chain n", None, ChainError)
+    as_integer(q, "chain q", None, ChainError)
+    if n < 1 or not 0 <= q < n:
+        raise ChainError(f"need 0 <= q < n, got ({n}, {q})")
+    if gcd(n, q) != 1:
+        raise ChainError(f"({n}, {q}) is not coprime")
+    return n, q
 
 
 def as_list(value, what) -> list:
@@ -145,27 +156,6 @@ def as_rational(value) -> Fraction:
     raise InexactError(f"expected an exact rational, got {type(value).__name__}")
 
 
-@record
-class Chain:
-    """Type ``<n, q>`` of an exceptional chain, in lowest terms.
-
-    Requires ``0 <= q < n`` and ``gcd(n, q) = 1``; ``Chain(1, 0)`` is the
-    empty chain.
-    """
-
-    n: int
-    q: int
-
-    def _check(n, q):
-        as_integer(n, "chain n", None, ChainError)
-        as_integer(q, "chain q", None, ChainError)
-        if n < 1 or not 0 <= q < n:
-            raise ChainError(f"need 0 <= q < n, got ({n}, {q})")
-        if gcd(n, q) != 1:
-            raise ChainError(f"({n}, {q}) is not coprime")
-        return n, q
-
-
 def hj_expand(n: int, q: int) -> list[int]:
     """Expand ``n/q`` into the chain entries ``[b1, b2, ...]``, all >= 2.
 
@@ -173,7 +163,7 @@ def hj_expand(n: int, q: int) -> list[int]:
     unique expansion with every entry >= 2, so no tie-breaking exists.  The
     empty list is returned for (1, 0).
     """
-    Chain(n, q)  # raises ChainError on an invalid descriptor
+    as_chain(n, q)
     entries = []
     while q > 0:
         b = -((-n) // q)
@@ -182,15 +172,15 @@ def hj_expand(n: int, q: int) -> list[int]:
     return entries
 
 
-def hj_eval(entries) -> Chain:
-    """Evaluate ``b1 - 1/(b2 - ...)`` back into a chain descriptor.
+def hj_eval(entries) -> tuple[int, int]:
+    """Evaluate ``b1 - 1/(b2 - ...)`` back into the chain type ``(n, q)``.
 
-    The empty sequence evaluates to the empty chain ``Chain(1, 0)``; this is
-    the division-free encoding of its formally infinite value.
+    The empty sequence evaluates to the empty chain ``(1, 0)``; this is the
+    division-free encoding of its formally infinite value.  Each step keeps
+    ``(n, q)`` coprime, as gcd(b n - q, n) = gcd(q, n).
     """
     num, den = 1, 0
     for b in reversed(list(entries)):
         as_integer(b, "chain entry", 2, ChainError)
         num, den = b * num - den, num
-    g = gcd(num, den)
-    return Chain(num // g, den // g)
+    return num, den

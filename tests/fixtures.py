@@ -9,28 +9,19 @@ from fractions import Fraction as F
 from itertools import combinations
 
 from orbeuler import (
-    Chain,
     ComponentData,
     CyclicQuotient,
     Ordinary,
     PairDescription,
     ReducedGerm,
     SingularPointData,
-    StarArm,
     StarQuotient,
     SurfaceData,
 )
 
 
 def cusp_local(alpha) -> StarQuotient:
-    return StarQuotient(
-        1,
-        (
-            StarArm(Chain(2, 1), F(0)),
-            StarArm(Chain(3, 1), F(0)),
-            StarArm(Chain(1, 0), F(alpha)),
-        ),
-    )
+    return StarQuotient(1, ((2, 1, 0), (3, 1, 0), (1, 0, F(alpha))))
 
 
 def quadrilateral_pair(a=F(2, 3)) -> PairDescription:
@@ -203,7 +194,7 @@ def quotient_point_pair() -> PairDescription:
         (
             SingularPointData(
                 id="Q",
-                local=CyclicQuotient(Chain(2, 1), F(0), F(0)),
+                local=CyclicQuotient(2, 1, F(0), F(0)),
                 incident=(),
                 multiplicity=F(0),
             ),

@@ -124,6 +124,12 @@ class TestArrangements:
     def test_two_lines_are_a_pencil(self):
         assert check_arrangement(2, {2: 1}).verdict == "hypothesis-not-met"
 
+    def test_one_line_is_outside_the_hypothesis(self):
+        # Every point of a single line lies on 1 > 2k/3 lines; the line
+        # exists, so "violation" would be a false certificate.
+        for report in (check_arrangement(1, {}), check_arrangement(ArrangementData(1, ()))):
+            assert (report.verdict, report.large_pencil_r) == ("hypothesis-not-met", 1)
+
     def test_bounds_are_the_least_integers_above(self):
         for k in range(2, 60):
             report = check_arrangement(k, {2: k * (k - 1) // 2})

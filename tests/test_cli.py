@@ -159,6 +159,12 @@ class TestLocal:
         assert (code, out) == (2, "")
         assert "is not an (n, q, d) triple" in err
 
+    def test_string_star_arm_is_exit_2(self, capsys):
+        doc = {"type": "star", "b": 2, "arms": ["210", [3, 1, "0"], [5, 1, "0"]]}
+        code, out, err = run(capsys, "local", json.dumps(doc))
+        assert (code, out) == (2, "")
+        assert "star arm '210' is not an (n, q, d) triple" in err
+
     @pytest.mark.parametrize(
         "doc, field",
         [
@@ -741,6 +747,12 @@ class TestArrangement:
         code, _, err = run(capsys, "arrangement", "--k", "4", "--t", "2:5")
         assert code == 2
         assert "pair-count identity" in err
+
+    def test_one_line_is_outside_the_hypothesis(self, capsys):
+        code, out, _ = run(capsys, "arrangement", '{"k": 1, "t": {}}')
+        assert (code, out) == (1, "hypothesis-not-met (a point lies on 1 > 2k/3 lines)\n")
+        code, payload, _ = run_machine(capsys, "arrangement", '{"k": 1, "t": {}}')
+        assert (code, payload["verdict"], payload["values"]["large_pencil_r"]) == (1, "hypothesis-not-met", "1")
 
     def test_fano_violation(self, capsys):
         code, out, _ = run(capsys, "arrangement", "--k", "7", "--t", "3:7")

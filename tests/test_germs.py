@@ -419,6 +419,8 @@ class TestLctObstruction:
             (lambda: lct_obstruction([(1, 2)]), "need mu >= tau >= 0, got (mu, tau) = (1, 2)"),
             (lambda: lct_obstruction([(2.0, 1)]), "mu must be an integer, got 2.0"),
             (lambda: lct_obstruction([(2, True)]), "tau must be an integer, got True"),
+            (lambda: lct_obstruction([5]), "point 5 is not a (mu, tau) pair"),
+            (lambda: lct_obstruction([(1, 2, 3)]), "point (1, 2, 3) is not a (mu, tau) pair"),
             (lambda: log_chern_c2(3.0, 18, []), "c2_surface must be an integer, got 3.0"),
             (lambda: log_chern_c2(3, 18, [2, "2"]), "tau must be an integer, got '2'"),
             (lambda: euler_top_complement(3, True, []), "kd_dot_d must be an integer, got True"),

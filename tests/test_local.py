@@ -7,7 +7,6 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from orbeuler import (
-    Chain,
     ChainError,
     CyclicQuotient,
     EulerValue,
@@ -15,7 +14,6 @@ from orbeuler import (
     NotQuotientError,
     Ordinary,
     ReducedGerm,
-    StarArm,
     StarInvariants,
     StarQuotient,
     as_rational,
@@ -27,21 +25,18 @@ from orbeuler import (
     singularity_to_dict,
     validate_star,
 )
+from orbeuler.rationals import as_chain
 
 from oracles import cover_degree, euler_ordinary3_cover_oracle, star_determinant
 
 weights = st.fractions(min_value=0, max_value=1, max_denominator=24)
 
 
-def star(b, arms):
-    return StarQuotient(b, tuple(StarArm(Chain(n, q), F(d)) for n, q, d in arms))
-
-
 CUSP_ARMS = ((2, 1, 0), (3, 1, 0))
 
 
 def cusp(alpha):
-    return star(1, CUSP_ARMS + ((1, 0, alpha),))
+    return StarQuotient(1, CUSP_ARMS + ((1, 0, alpha),))
 
 
 ADE_STARS = {
@@ -72,10 +67,10 @@ def ordinary_oracle(coeffs):
 
 def star_invariants_oracle(star):
     """b0, alpha and beta by Fraction arithmetic; b0 <= 0 is refused."""
-    b0 = star.b - sum(F(arm.q, arm.n) for arm in star.arms)
+    b0 = star.b - sum(F(q, n) for n, q, _ in star.arms)
     if b0 <= 0:
         raise NotQuotientError(f"b0 = {format_rational(b0)} <= 0: the central curve does not contract")
-    shares = [(1 - arm.d) / arm.n for arm in star.arms]
+    shares = [(1 - d) / n for n, _, d in star.arms]
     return StarInvariants(b0, sum(shares), min(shares))
 
 
@@ -92,7 +87,7 @@ def oracle(germ) -> EulerValue:
     if isinstance(germ, Ordinary):
         return EulerValue(*ordinary_oracle(germ.coeffs))
     if isinstance(germ, CyclicQuotient):
-        return EulerValue((1 - germ.d1) * (1 - germ.d2) / germ.chain.n, Exactness.EXACT, True)
+        return EulerValue((1 - germ.d1) * (1 - germ.d2) / germ.n, Exactness.EXACT, True)
     return EulerValue(*star_oracle(germ))
 
 
@@ -125,14 +120,14 @@ def any_stars(draw):
         (n, coprime_residue(n, draw(st.integers(0, 30))), draw(weights)) for n in draw(arm_orders())
     )
     least_b = int(sum(F(q, n) for n, q, _ in arms)) + 1
-    return star(draw(st.integers(max(least_b - 1, 1), least_b + 2)), arms)
+    return StarQuotient(draw(st.integers(max(least_b - 1, 1), least_b + 2)), arms)
 
 
 # Stars with every arm order at least 2 and every weight 0.
 zero_weight_stars = (
     any_stars()
-    .filter(lambda germ: min(arm.n for arm in germ.arms) >= 2)
-    .map(lambda germ: star(germ.b, [(arm.n, arm.q, 0) for arm in germ.arms]))
+    .filter(lambda germ: min(n for n, _, _ in germ.arms) >= 2)
+    .map(lambda germ: StarQuotient(germ.b, [(n, q, 0) for n, q, _ in germ.arms]))
 )
 
 
@@ -147,7 +142,7 @@ ordinary_points = st.one_of(
 ).map(lambda ws: Ordinary(tuple(ws)))
 cyclic_points = st.integers(1, 60).flatmap(
     lambda n: st.builds(
-        CyclicQuotient, st.integers(0, 30).map(lambda k: Chain(n, coprime_residue(n, k))), weights, weights
+        CyclicQuotient, st.just(n), st.integers(0, 30).map(lambda k: coprime_residue(n, k)), weights, weights
     )
 )
 
@@ -235,7 +230,7 @@ class TestIntegerEvaluationOracle:
         # D_{n+2}: b0 = 1/n = 1/lcm(2, 2, n) and e_orb = 1/|G| for the binary
         # dihedral group of order 4n, which the cover oracle reads off b0 and
         # the triple (2, 2, n).
-        germ = star(2, ((2, 1, 0), (2, 1, 0), (n, n - 1, 0)))
+        germ = StarQuotient(2, ((2, 1, 0), (2, 1, 0), (n, n - 1, 0)))
         invariants = validate_star(germ.b, germ.arms)
         assert invariants == StarInvariants(F(1, n), 1 + F(1, n), F(1, n)) == star_invariants_oracle(germ)
         assert euler_local(germ) == EulerValue(F(1, 4 * n), Exactness.EXACT, True)
@@ -244,14 +239,14 @@ class TestIntegerEvaluationOracle:
 
     def test_exceptional_b0_one_over_lcm(self):
         for name, (b, arms, _, expected) in ADE_STARS.items():
-            germ = star(b, arms)
+            germ = StarQuotient(b, arms)
             assert validate_star(b, germ.arms).b0 == F(1, lcm(*(n for n, _, _ in arms))), name
             assert euler_local(germ).value == expected, name
             self.assert_matches(germ)
 
     @pytest.mark.parametrize("d1, d2", [(F(0), F(0)), (F(1, 2), F(1, 3)), (F(1), F(2, 7)), (F(3, 4), F(1))])
     def test_cyclic_n_one(self, d1, d2):
-        germ = CyclicQuotient(Chain(1, 0), d1, d2)
+        germ = CyclicQuotient(1, 0, d1, d2)
         assert euler_local(germ).value == (1 - d1) * (1 - d2)
         self.assert_matches(germ)
 
@@ -263,9 +258,9 @@ class TestUnchangedRefusals:
         with pytest.raises(ValueError, match=expected):
             Ordinary((F(1, 2), bad))
         with pytest.raises(ValueError, match=expected):
-            CyclicQuotient(Chain(3, 1), F(0), bad)
+            CyclicQuotient(3, 1, F(0), bad)
         with pytest.raises(ValueError, match=expected):
-            star(1, CUSP_ARMS + ((1, 0, bad),))
+            StarQuotient(1, CUSP_ARMS + ((1, 0, bad),))
 
     @pytest.mark.parametrize(
         "b, arms, b0",
@@ -278,16 +273,31 @@ class TestUnchangedRefusals:
     def test_b0_refused_first(self, b, arms, b0):
         message = f"^b0 = {b0} <= 0: the central curve does not contract$"
         with pytest.raises(NotQuotientError, match=message):
-            validate_star(b, star(b, arms).arms)
+            validate_star(b, StarQuotient(b, arms).arms)
         with pytest.raises(NotQuotientError, match=message):
-            euler_local(star(b, arms))
+            euler_local(StarQuotient(b, arms))
+
+    @pytest.mark.parametrize(
+        "n, q", [(1, 1), (4, 2), (3, -1), (0, 0), (3, 5), (True, 0), (2, True), (2.0, 1), (3, "1")]
+    )
+    def test_chain_refused_alike_everywhere(self, n, q):
+        with pytest.raises(ChainError) as expected:
+            as_chain(n, q)
+        for build in (
+            lambda: CyclicQuotient(n, q, F(0), F(0)),
+            lambda: StarQuotient(2, ((n, q, 0), (3, 1, 0), (5, 1, 0))),
+            lambda: hj_expand(n, q),
+        ):
+            with pytest.raises(ChainError) as caught:
+                build()
+            assert (type(caught.value), str(caught.value)) == (ChainError, str(expected.value))
 
     @pytest.mark.parametrize("bad", [0.5, 1.0, True, False])
     def test_floats_and_bools_refused(self, bad):
         with pytest.raises(TypeError):
             Ordinary((bad,))
         with pytest.raises(TypeError):
-            CyclicQuotient(Chain(2, 1), bad, F(0))
+            CyclicQuotient(2, 1, bad, F(0))
         with pytest.raises(TypeError):
             EulerValue(bad, Exactness.EXACT, True)
 
@@ -299,7 +309,7 @@ class TestUnchangedRefusals:
                 singularity_from_dict({"type": "cyclic", "n": 2, "q": 1, "d1": "1/0", "d2": "0"})
 
     def test_validation_invariants_are_the_fraction_triple(self):
-        germ = star(3, ((2, 1, F(4, 9)), (2, 1, F(1, 5)), (55, 19, F(0))))
+        germ = StarQuotient(3, ((2, 1, F(4, 9)), (2, 1, F(1, 5)), (55, 19, F(0))))
         expected = StarInvariants(
             3 - F(1, 2) - F(1, 2) - F(19, 55),
             (1 - F(4, 9)) / 2 + (1 - F(1, 5)) / 2 + F(1, 55),
@@ -359,14 +369,14 @@ class TestCachedChecks:
     def test_refused_shape_raises_on_every_use(self):
         for weight in (0, F(1, 2)):
             with pytest.raises(NotQuotientError):
-                euler_local(star(1, ((2, 1, weight), (3, 2, weight), (5, 4, weight))))
-            hyperbolic = star(3, ((5, 4, weight), (5, 4, weight), (5, 4, weight)))
+                euler_local(StarQuotient(1, ((2, 1, weight), (3, 2, weight), (5, 4, weight))))
+            hyperbolic = StarQuotient(3, ((5, 4, weight), (5, 4, weight), (5, 4, weight)))
             assert euler_local(hyperbolic) == EulerValue(F(0), Exactness.EXACT, False)
 
     def test_one_shape_many_weights(self):
         # One central weight and arm chains; each weight gives its own shares.
         for weight in (F(0), F(1, 3), F(1, 2), F(9, 10), F(1)):
-            germ = star(2, ((2, 1, weight), (3, 1, 0), (5, 1, F(1, 3))))
+            germ = StarQuotient(2, ((2, 1, weight), (3, 1, 0), (5, 1, F(1, 3))))
             assert euler_local(germ) == oracle(germ)
 
 
@@ -395,8 +405,8 @@ class TestLcStatus:
         # The evaluator's flag is the only lc verdict.
         assert euler_local(Ordinary((F(1), F(1), F(1)))).lc is False
         assert euler_local(Ordinary((F(1, 2),) * 3)).lc is True
-        assert euler_local(star(1, CUSP_ARMS + ((1, 0, F(9, 10)),))).lc is False
-        assert euler_local(CyclicQuotient(Chain(4, 3), F(1), F(1))).lc is True
+        assert euler_local(StarQuotient(1, CUSP_ARMS + ((1, 0, F(9, 10)),))).lc is False
+        assert euler_local(CyclicQuotient(4, 3, F(1), F(1))).lc is True
         assert euler_local(ReducedGerm(12, 11)).lc is True
 
 
@@ -470,18 +480,18 @@ class TestOrdinary:
 
 class TestCyclic:
     def test_examples(self):
-        assert euler_local(CyclicQuotient(Chain(1, 0), F(1, 2), F(1, 3))).value == F(1, 3)
-        assert euler_local(CyclicQuotient(Chain(3, 1), F(0), F(0))).value == F(1, 3)
-        assert euler_local(CyclicQuotient(Chain(4, 3), F(1), F(1, 2))).value == F(0)
+        assert euler_local(CyclicQuotient(1, 0, F(1, 2), F(1, 3))).value == F(1, 3)
+        assert euler_local(CyclicQuotient(3, 1, F(0), F(0))).value == F(1, 3)
+        assert euler_local(CyclicQuotient(4, 3, F(1), F(1, 2))).value == F(0)
 
     def test_value_independent_of_q(self):
-        assert euler_local(CyclicQuotient(Chain(5, 2), F(1, 3), F(1, 7))) == euler_local(
-            CyclicQuotient(Chain(5, 3), F(1, 3), F(1, 7))
+        assert euler_local(CyclicQuotient(5, 2, F(1, 3), F(1, 7))) == euler_local(
+            CyclicQuotient(5, 3, F(1, 3), F(1, 7))
         )
 
     def test_minus_one_curve_rejected(self):
         with pytest.raises(ChainError):
-            euler_local(CyclicQuotient(Chain(1, 1), F(0), F(0)))
+            euler_local(CyclicQuotient(1, 1, F(0), F(0)))
 
     @given(
         st.integers(1, 40),
@@ -492,34 +502,34 @@ class TestCyclic:
         # Degree-n quotients scale the two-branch smooth value by 1/n.
         q = next(q for q in range(n) if gcd(n, q) == 1 and q < max(n, 1))
         lifted = euler_local(Ordinary([d1, d2]))
-        assert n * euler_local(CyclicQuotient(Chain(n, q), d1, d2)).value == lifted.value
+        assert n * euler_local(CyclicQuotient(n, q, d1, d2)).value == lifted.value
 
 
 class TestStars:
     def test_e8_validation(self):
-        invariants = validate_star(2, (StarArm(Chain(2, 1), F(0)), StarArm(Chain(3, 2), F(0)), StarArm(Chain(5, 4), F(0))))
+        invariants = validate_star(2, ((2, 1, 0), (3, 2, 0), (5, 4, 0)))
         assert invariants == StarInvariants(F(1, 30), F(31, 30), F(1, 5))
         assert cover_degree(invariants.b0, 2, 3, 5).degree == 120
 
     def test_not_quotient(self):
         # (5, 5, 5) is hyperbolic: b0 = 2/5 > 0, but alpha = 3/5 < 1.
-        germ = star(1, ((5, 1, 0), (5, 1, 0), (5, 1, 0)))
+        germ = StarQuotient(1, ((5, 1, 0), (5, 1, 0), (5, 1, 0)))
         assert validate_star(1, germ.arms).b0 == F(2, 5)
         assert euler_local(germ) == EulerValue(F(0), Exactness.EXACT, False)
 
     def test_negative_b0_rejected(self):
         with pytest.raises(NotQuotientError):
-            validate_star(1, star(1, ((2, 1, 0), (3, 2, 0), (5, 4, 0))).arms)
+            validate_star(1, StarQuotient(1, ((2, 1, 0), (3, 2, 0), (5, 4, 0))).arms)
 
     def test_ade_reciprocals(self):
         for name, (b, arms, triple, expected) in ADE_STARS.items():
             assert tuple(sorted(n for n, _, _ in arms)) == triple, name
-            value = euler_local(star(b, arms))
-            record = cover_degree(validate_star(b, star(b, arms).arms).b0, *triple)
+            value = euler_local(StarQuotient(b, arms))
+            record = cover_degree(validate_star(b, StarQuotient(b, arms).arms).b0, *triple)
             assert value.value == expected == 1 / record.degree, name
 
-    @example(star(2, ((2, 1, 0), (2, 1, 0), (3, 2, 0))))  # D5
-    @example(star(2, ((2, 1, 0), (3, 1, 0), (6, 1, 0))))  # Euclidean
+    @example(StarQuotient(2, ((2, 1, 0), (2, 1, 0), (3, 2, 0))))  # D5
+    @example(StarQuotient(2, ((2, 1, 0), (3, 1, 0), (6, 1, 0))))  # Euclidean
     @given(zero_weight_stars)
     def test_triple_gives_the_group_order(self, germ):
         # With zero weights the triple is the sorted arm orders.  A spherical
@@ -529,7 +539,7 @@ class TestStars:
             b0 = validate_star(germ.b, germ.arms).b0
         except NotQuotientError:
             assume(False)
-        triple = sorted(arm.n for arm in germ.arms)
+        triple = sorted(n for n, _, _ in germ.arms)
         excess = sum(F(1, n) for n in triple) - 1
         value = euler_local(germ)
         if excess > 0:
@@ -551,7 +561,7 @@ class TestStars:
         ids=["chain-7-2-7", "E12", "2-3-7", "5-5-5", "2-3-6", "2-4-4", "3-3-3"],
     )
     def test_stars_beyond_the_quotients(self, b, arms, value, lc):
-        germ = star(b, arms)
+        germ = StarQuotient(b, arms)
         assert euler_local(germ) == oracle(germ) == EulerValue(value, Exactness.EXACT, lc)
 
     @given(
@@ -566,11 +576,11 @@ class TestStars:
         assume(det > 0)
         arms = [(n1, q1, d1), (n2, q2, d2)]
         arms.insert(place, (1, 0, 0))
-        value = euler_local(star(b, arms))
+        value = euler_local(StarQuotient(b, arms))
         assert value == EulerValue((1 - d1) * (1 - d2) / det, Exactness.EXACT, True)
         if b >= 2:
             chain = hj_eval(list(reversed(hj_expand(n1, q1))) + [b] + hj_expand(n2, q2))
-            assert value == euler_local(CyclicQuotient(chain, d1, d2))
+            assert value == euler_local(CyclicQuotient(*chain, d1, d2))
 
     @given(st.integers(1, 15), st.integers(0, 30), weights, weights, weights, st.integers(2, 5))
     def test_weighted_empty_arm_through_a_palindromic_chain(self, n, k, d1, d2, d3, b):
@@ -582,21 +592,21 @@ class TestStars:
         # orbit, and the ends' curves to the axes: e_orb is that of an
         # ordinary point of r + 2 branches, divided by N.
         q = coprime_residue(n, k)
-        chain = hj_eval(list(reversed(hj_expand(n, q))) + [b] + hj_expand(n, q))
-        assert (chain.q * chain.q - 1) % chain.n == 0
-        lifted = euler_local(Ordinary((d1, d2) + (d3,) * (chain.n // gcd(chain.n, chain.q - 1))))
-        value = euler_local(star(b, ((n, q, d1), (n, q, d2), (1, 0, d3))))
+        big_n, big_q = hj_eval(list(reversed(hj_expand(n, q))) + [b] + hj_expand(n, q))
+        assert (big_q * big_q - 1) % big_n == 0
+        lifted = euler_local(Ordinary((d1, d2) + (d3,) * (big_n // gcd(big_n, big_q - 1))))
+        value = euler_local(StarQuotient(b, ((n, q, d1), (n, q, d2), (1, 0, d3))))
         assert value.lc == lifted.lc
         if lifted.is_exact:
-            assert value.value == lifted.value / chain.n
+            assert value.value == lifted.value / big_n
         else:
-            assert value.value <= lifted.value / chain.n
+            assert value.value <= lifted.value / big_n
 
     @given(any_stars())
     def test_determinant_is_b0_times_the_arm_orders(self, germ):
-        order = prod(arm.n for arm in germ.arms)
-        det = star_determinant(germ.b, [(arm.n, arm.q) for arm in germ.arms])
-        assert det == (germ.b - sum(F(arm.q, arm.n) for arm in germ.arms)) * order
+        order = prod(n for n, _, _ in germ.arms)
+        det = star_determinant(germ.b, [(n, q) for n, q, _ in germ.arms])
+        assert det == (germ.b - sum(F(q, n) for n, q, _ in germ.arms)) * order
         try:
             invariants = validate_star(germ.b, germ.arms)
         except NotQuotientError:
@@ -623,7 +633,7 @@ class TestStars:
 
     @given(st.fractions(min_value=0, max_value=1, max_denominator=60))
     def test_weight_one_arm_kills_value(self, d):
-        value = euler_local(star(2, ((2, 1, 1), (3, 2, 0), (5, 4, d))))
+        value = euler_local(StarQuotient(2, ((2, 1, 1), (3, 2, 0), (5, 4, d))))
         assert value.value == 0
 
     @pytest.mark.parametrize(
@@ -637,6 +647,22 @@ class TestStars:
     def test_malformed_star_rejected(self, b, arms, message):
         with pytest.raises(ValueError, match=message):
             StarQuotient(b, arms)
+
+    @pytest.mark.parametrize(
+        "arm",
+        ["210", {"n": 2, "q": 1, "d": "0"}, (2, 1), [2, 1, "0", "0"], 5],
+        ids=["str", "dict", "pair", "quadruple", "int"],
+    )
+    def test_arm_must_be_a_list_or_tuple_triple(self, arm):
+        # A string or a dict of three would unpack into its characters or keys.
+        message = f"star arm {arm!r} is not an (n, q, d) triple"
+        for build in (
+            lambda: StarQuotient(2, (arm, (3, 1, 0), (5, 1, 0))),
+            lambda: singularity_from_dict({"type": "star", "b": 2, "arms": [arm, [3, 1, "0"], [5, 1, "0"]]}),
+        ):
+            with pytest.raises(ValueError) as caught:
+                build()
+            assert str(caught.value) == message
 
 
 class TestCoverDegree:
@@ -738,7 +764,7 @@ class TestDispatchAndSerialization:
 
     @pytest.mark.parametrize(
         "germ",
-        [CyclicQuotient(Chain(5, 2), F(1, 3), F(0)), star(2, ADE_STARS["E8"][1])],
+        [CyclicQuotient(5, 2, F(1, 3), F(0)), StarQuotient(2, ADE_STARS["E8"][1])],
         ids=["cyclic", "star"],
     )
     def test_evaluation_reads_the_given_germ(self, monkeypatch, germ):

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 import orbeuler.pairs
 from orbeuler import (
-    Chain,
     ComponentData,
     CyclicQuotient,
     Exactness,
@@ -60,26 +59,30 @@ def coprime_residues(n):
 @st.composite
 def chains(draw):
     n = draw(st.integers(min_value=1, max_value=30))
-    return Chain(n, draw(st.sampled_from(coprime_residues(n))))
+    return n, draw(st.sampled_from(coprime_residues(n)))
+
+
+def cyclic_quotients(weight):
+    return st.builds(lambda chain, d1, d2: CyclicQuotient(*chain, d1, d2), chains(), weight, weight)
 
 
 def weighted_locals(weight):
     """Ordinary, cyclic and star germs whose boundary weights draw from ``weight``."""
     return st.one_of(
         st.builds(Ordinary, st.lists(weight, min_size=1, max_size=5).map(tuple)),
-        st.builds(CyclicQuotient, chains(), weight, weight),
+        cyclic_quotients(weight),
         st.builds(
             StarQuotient,
             st.integers(min_value=1, max_value=6),
             st.lists(st.tuples(chains(), weight), min_size=3, max_size=3).map(
-                lambda arms: tuple((chain.n, chain.q, d) for chain, d in arms)
+                lambda arms: tuple((*chain, d) for chain, d in arms)
             ),
         ),
     )
 
 
 ordinary_points = st.builds(Ordinary, st.lists(weights, min_size=1, max_size=5).map(tuple))
-cyclic_points = st.builds(CyclicQuotient, chains(), weights, weights)
+cyclic_points = cyclic_quotients(weights)
 
 local_singularities = st.one_of(
     weighted_locals(weights),
@@ -407,7 +410,7 @@ class TestGrouping:
 
 # Germs that put no boundary weight at their point, with their local values.
 OFF_BOUNDARY_GERMS = {
-    "A1": (CyclicQuotient(Chain(2, 1), F(0), F(0)), F(1, 2)),
+    "A1": (CyclicQuotient(2, 1, F(0), F(0)), F(1, 2)),
     "smooth point": (Ordinary((F(0),)), F(1)),
     "weight-0 branches": (Ordinary((F(0), F(0))), F(1)),
     "E8": (StarQuotient(2, ((2, 1, 0), (3, 2, 0), (5, 4, 0))), F(1, 120)),
@@ -416,10 +419,10 @@ OFF_BOUNDARY_GERMS = {
 # Points off every component whose germ or m_P says D is there after all.
 INCONSISTENT_OFF_BOUNDARY = {
     "ordinary weight": (Ordinary((F(0), F(1, 2))), F(0)),
-    "cyclic d1": (CyclicQuotient(Chain(3, 1), F(1, 3), F(0)), F(0)),
+    "cyclic d1": (CyclicQuotient(3, 1, F(1, 3), F(0)), F(0)),
     "star-arm weight": (StarQuotient(2, ((2, 1, 0), (3, 2, 0), (5, 4, "1/2"))), F(0)),
     "germ_mu_tau": (ReducedGerm(0, 0), F(0)),
-    "m_P": (CyclicQuotient(Chain(2, 1), F(0), F(0)), F(1, 2)),
+    "m_P": (CyclicQuotient(2, 1, F(0), F(0)), F(1, 2)),
 }
 
 
@@ -679,6 +682,8 @@ class TestCurveDegreeCap:
             (F(1), [], "genus must be a nonnegative integer, got Fraction(1, 1)"),
             (0, [(0, 2)], "branch count must be a positive integer, got 0"),
             (0, [(True, 2)], "branch count must be a positive integer, got True"),
+            (1, [5], "point 5 is not a (branches, multiplicity) pair"),
+            (1, [(1, 2, 3)], "point (1, 2, 3) is not a (branches, multiplicity) pair"),
         ],
     )
     def test_bad_arguments_rejected(self, genus, points, message):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 import orbeuler
 from orbeuler import (
-    Chain,
     ChainError,
     InexactError,
     as_rational,
@@ -16,7 +15,7 @@ from orbeuler import (
     hj_expand,
     parse_rational,
 )
-from orbeuler.rationals import parse_integer
+from orbeuler.rationals import as_chain, parse_integer
 
 
 class Text(str):
@@ -149,13 +148,31 @@ class TestIntegerLiteral:
             parse_integer(bad)
 
 
+INVALID_CHAINS = [
+    (1, 1, "need 0 <= q < n, got (1, 1)"),
+    (2, 2, "need 0 <= q < n, got (2, 2)"),
+    (4, 2, "(4, 2) is not coprime"),
+    (3, -1, "need 0 <= q < n, got (3, -1)"),
+    (0, 0, "need 0 <= q < n, got (0, 0)"),
+    (3, 5, "need 0 <= q < n, got (3, 5)"),
+    (True, 0, "chain n must be an integer, got True"),
+    (2, True, "chain q must be an integer, got True"),
+]
+
+
 class TestChain:
+    def test_valid_types_are_returned(self):
+        assert as_chain(1, 0) == (1, 0)
+        assert as_chain(5, 2) == (5, 2)
+
     @pytest.mark.parametrize(
-        "n,q", [(1, 1), (2, 2), (4, 2), (3, -1), (0, 0), (3, 5), (True, 0), (2, True)]
+        "n,q,message",
+        [pytest.param(n, q, message, id=f"{n}-{q}") for n, q, message in INVALID_CHAINS],
     )
-    def test_invalid_descriptors(self, n, q):
-        with pytest.raises(ChainError):
-            Chain(n, q)
+    def test_invalid_descriptors(self, n, q, message):
+        with pytest.raises(ChainError) as caught:
+            as_chain(n, q)
+        assert str(caught.value) == message
 
 
 class TestExpansion:
@@ -175,10 +192,10 @@ class TestExpansion:
             hj_expand(n, q)
 
     def test_eval_examples(self):
-        assert hj_eval([3, 2]) == Chain(5, 2)
-        assert hj_eval([2, 2, 2, 2]) == Chain(5, 4)
-        assert hj_eval([7]) == Chain(7, 1)
-        assert hj_eval([]) == Chain(1, 0)
+        assert hj_eval([3, 2]) == (5, 2)
+        assert hj_eval([2, 2, 2, 2]) == (5, 4)
+        assert hj_eval([7]) == (7, 1)
+        assert hj_eval([]) == (1, 0)
 
     @pytest.mark.parametrize("bad", [[1], [2, 0], [3, -2], [2.5]])
     def test_eval_rejects_bad_entries(self, bad):
@@ -194,7 +211,7 @@ class TestExpansion:
                 entries = hj_expand(n, q)
                 assert all(b >= 2 for b in entries)
                 assert len(entries) <= n - 1
-                assert hj_eval(entries) == Chain(n, q)
+                assert hj_eval(entries) == (n, q)
 
 
 @given(
@@ -220,8 +237,8 @@ def budget_with(index, value):
 # one), its least value (None for any integer) and the exception its owner
 # raises.  `{value!r}` stands for the value fed where the owner's id holds it.
 INTEGER_FIELDS = [
-    ("Chain.n", lambda v: Chain(v, 1), "chain n", None, ChainError),
-    ("Chain.q", lambda v: Chain(3, v), "chain q", None, ChainError),
+    ("as_chain.n", lambda v: as_chain(v, 1), "chain n", None, ChainError),
+    ("as_chain.q", lambda v: as_chain(3, v), "chain q", None, ChainError),
     ("hj_eval", lambda v: hj_eval([3, v]), "chain entry", 2, ChainError),
     ("StarQuotient.b", lambda v: orbeuler.StarQuotient(v, ((2, 1, "0"), (3, 1, "0"), (1, 0, "1/2"))),
      "central weight b", 1, ValueError),

@@ -15,7 +15,6 @@ import orbeuler._record
 from orbeuler import (
     ArrangementData,
     BmyReport,
-    Chain,
     ComponentData,
     CurveGerm,
     CyclicQuotient,
@@ -25,7 +24,6 @@ from orbeuler import (
     PairDescription,
     ReducedGerm,
     SingularPointData,
-    StarArm,
     StarQuotient,
     SurfaceData,
     check_arrangement,
@@ -61,7 +59,6 @@ INVARIANTS = "StarInvariants(b0=Fraction(1, 30), alpha=Fraction(47, 60), beta=Fr
 
 # One instance of each record, and its repr.
 RECORDS = {
-    "Chain": (lambda: Chain(5, 2), "Chain(n=5, q=2)"),
     "EulerValue": (
         lambda: EulerValue(F(1, 2), Exactness.UPPER_BOUND, True),
         "EulerValue(value=Fraction(1, 2), exactness=<Exactness.UPPER_BOUND: 'upper-bound'>, lc=True)",
@@ -71,14 +68,12 @@ RECORDS = {
         "Ordinary(coeffs=(Fraction(1, 2), Fraction(0, 1), Fraction(1, 1)))",
     ),
     "CyclicQuotient": (
-        lambda: CyclicQuotient((5, 2), "1/3", 0),
-        "CyclicQuotient(chain=Chain(n=5, q=2), d1=Fraction(1, 3), d2=Fraction(0, 1))",
+        lambda: CyclicQuotient(5, 2, "1/3", 0),
+        "CyclicQuotient(n=5, q=2, d1=Fraction(1, 3), d2=Fraction(0, 1))",
     ),
-    "StarArm": (lambda: StarArm((3, 1), "1/2"), "StarArm(chain=Chain(n=3, q=1), d=Fraction(1, 2))"),
     "StarQuotient": (
         lambda: StarQuotient(2, E8),
-        "StarQuotient(b=2, arms=(StarArm(chain=Chain(n=2, q=1), d=Fraction(1, 2)), "
-        "StarArm(chain=Chain(n=3, q=2), d=Fraction(0, 1)), StarArm(chain=Chain(n=5, q=4), d=Fraction(0, 1))))",
+        "StarQuotient(b=2, arms=((2, 1, Fraction(1, 2)), (3, 2, Fraction(0, 1)), (5, 4, Fraction(0, 1))))",
     ),
     "ReducedGerm": (lambda: ReducedGerm(4, 3), "ReducedGerm(mu=4, tau=3)"),
     "StarInvariants": (lambda: validate_star(2, E8), INVARIANTS),
